@@ -129,7 +129,7 @@ def _detection_workload(count: int = 25):
 
 
 def test_detection_per_edge_nfa(benchmark):
-    """A2: the per-edge NFA-based detectors (witness-producing)."""
+    """A2: the linear detectors (one-pass profile scan, witness-producing)."""
     from repro.conflicts.linear import (
         detect_read_delete_linear,
         detect_read_insert_linear,
@@ -141,23 +141,6 @@ def test_detection_per_edge_nfa(benchmark):
         for read, insert, delete in workload:
             detect_read_insert_linear(read, insert)
             detect_read_delete_linear(read, delete)
-
-    benchmark(run)
-
-
-def test_detection_one_pass_dp(benchmark):
-    """A2: the one-pass DP detectors (the paper's Theorem 1 REMARK)."""
-    from repro.conflicts.linear_dp import (
-        detect_read_delete_linear_dp,
-        detect_read_insert_linear_dp,
-    )
-
-    workload = _detection_workload()
-
-    def run():
-        for read, insert, delete in workload:
-            detect_read_insert_linear_dp(read, insert)
-            detect_read_delete_linear_dp(read, delete)
 
     benchmark(run)
 

@@ -3,8 +3,8 @@
 The acceptance bar for the batch conflict-analysis engine
 (:mod:`repro.conflicts.batch`) is a >= 3x wall-clock win on a
 64-operation catalogue at ``jobs=8`` over the serial per-pair reference
-loop (:func:`reference_matrix` — exactly what :func:`conflict_matrix`
-did before the engine existed), with *identical verdicts* — checked
+loop (:func:`reference_matrix` — exactly what catalogue analysis did
+before the engine existed), with *identical verdicts* — checked
 pair-for-pair inside the benchmark before any timing is trusted.
 
 Where the win comes from (all honest, none depends on core count):

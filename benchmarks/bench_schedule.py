@@ -14,12 +14,16 @@ import random
 import pytest
 
 from bench_utils import measure, print_series
+from repro.conflicts.batch import BatchAnalyzer
 from repro.conflicts.detector import ConflictDetector
-from repro.conflicts.schedule import conflict_matrix, parallel_schedule
 from repro.operations.ops import Delete, Insert, Read
 from repro.workloads.generators import random_delete, random_insert, random_read
 
 CATALOGUE_SIZES = [4, 8, 16]
+
+
+def build_matrix(catalogue, detector):
+    return BatchAnalyzer(detector=detector).analyze(catalogue)
 
 
 def _catalogue(size: int, seed: int):
@@ -45,7 +49,7 @@ def test_matrix_construction(benchmark, size):
     """E15: full matrix over a catalogue of `size` operations."""
     catalogue = _catalogue(size, seed=size)
     detector = ConflictDetector(exhaustive_cap=3)
-    benchmark(lambda: conflict_matrix(catalogue, detector))
+    benchmark(lambda: build_matrix(catalogue, detector))
 
 
 def test_schedule_validity_and_quality(benchmark):
@@ -61,9 +65,9 @@ def test_schedule_validity_and_quality(benchmark):
     detector = ConflictDetector(exhaustive_cap=4)
 
     def run():
-        matrix = conflict_matrix(bookstore_ops, detector)
-        batches = parallel_schedule(bookstore_ops, detector)
-        return matrix, batches
+        analyzer = BatchAnalyzer(detector=detector)
+        matrix = analyzer.analyze(bookstore_ops)
+        return matrix, analyzer.schedule()
 
     matrix, batches = benchmark.pedantic(run, rounds=1, iterations=1)
     for batch in batches:
@@ -84,7 +88,7 @@ def test_matrix_scaling_series(benchmark):
             catalogue = _catalogue(size, seed=size)
             detector = ConflictDetector(exhaustive_cap=3)
             times.append(
-                measure(lambda: conflict_matrix(catalogue, detector), repeat=1)
+                measure(lambda: build_matrix(catalogue, detector), repeat=1)
             )
         return times
 

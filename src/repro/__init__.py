@@ -47,7 +47,7 @@ Package map:
   isomorphism, tree enumeration, random documents.
 * :mod:`repro.patterns` — tree patterns, the XPath fragment, embedding
   evaluation, pattern containment.
-* :mod:`repro.automata` — NFAs and weak/strong matching of linear patterns.
+* :mod:`repro.automata` — weak/strong matching of linear patterns.
 * :mod:`repro.operations` — ``READ`` / ``INSERT`` / ``DELETE`` semantics.
 * :mod:`repro.conflicts` — the conflict engine (the paper's contribution).
 * :mod:`repro.lang` — the pidgin update language and dependence analysis.
@@ -98,10 +98,8 @@ from repro.conflicts import (
     Verdict,
     VerdictCache,
     analyze,
-    conflict_matrix,
     is_witness,
     minimize_witness,
-    parallel_schedule,
 )
 from repro.errors import BudgetExceeded, CacheCorrupt, ReproError
 from repro.operations import Delete, Insert, Read, UpdateResult
@@ -126,8 +124,6 @@ __all__ = [
     "ConflictMatrix",
     "PatternIndex",
     "StaticProfile",
-    "conflict_matrix",
-    "parallel_schedule",
     "is_witness",
     "minimize_witness",
     "PatternCompiler",

@@ -1,23 +1,20 @@
 """Finite-automaton substrate and linear-pattern matching (Definition 7).
 
-Two interchangeable kernels answer the matching questions: the
-dict-of-sets reference (:mod:`repro.automata.nfa`/:mod:`~repro.automata.dfa`)
-and the bit-parallel fast path (:mod:`repro.automata.bitkernel`), selected
-by ``DetectorConfig.kernel`` and held to byte-identical answers by the
-kernel-differential test battery.
+The matching questions run on the bit-parallel kernel
+(:mod:`repro.automata.bitkernel`) behind the compile cache
+(:class:`repro.compile.PatternCompiler`).  The explicit-transition
+:class:`~repro.automata.nfa.NFA` and :func:`linear_pattern_nfa` remain as
+the independent subset-simulation oracle the test suite holds the kernel
+to, and :func:`match_dp` as an automaton-free cross-check.
 """
 
 from repro.automata.bitkernel import (
     BitsetAutomaton,
     MaskTable,
     bitset_matching_profile,
-    intersection_nonempty,
     joint_shortest_word_bits,
-    match_bits,
-    matching_word_bits,
     spine_spec,
 )
-from repro.automata.dfa import LazyDFA, joint_shortest_word
 from repro.automata.matching import (
     linear_pattern_nfa,
     match_dp,
@@ -30,19 +27,14 @@ from repro.automata.nfa import NFA
 
 __all__ = [
     "NFA",
-    "LazyDFA",
     "MaskTable",
     "BitsetAutomaton",
-    "joint_shortest_word",
     "joint_shortest_word_bits",
-    "intersection_nonempty",
     "bitset_matching_profile",
     "spine_spec",
     "linear_pattern_nfa",
     "matching_alphabet",
     "matching_word",
-    "matching_word_bits",
-    "match_bits",
     "match_strongly",
     "match_weakly",
     "match_dp",

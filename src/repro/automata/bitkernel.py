@@ -1,16 +1,14 @@
-"""Bit-parallel automata kernel for the per-pair decision hot path.
+"""Bit-parallel automata kernel: the engine's one decision path.
 
-The PTIME deciders of Section 4 bottom out in three regular-language
-questions over small alphabets — product emptiness, language-intersection
-reachability, and joint-shortest-word — answered by the dict-of-sets
-machinery in :mod:`repro.automata.nfa`/:mod:`repro.automata.dfa`.  This
-module re-represents NFA state sets as machine integers: state ``i`` is
-bit ``1 << i``, a subset is one arbitrary-precision ``int``, a
-nondeterministic step is an OR of per-state target masks, and subset
-union/intersection are single ``|``/``&`` operations.  Python ints are
-unbounded, so automata spanning 64-bit word boundaries (63/64/65 states)
-need no special casing — the word-boundary tests in
-``tests/test_bitkernel.py`` pin this down.
+The PTIME deciders of Section 4 bottom out in regular-language questions
+over small alphabets — language-intersection reachability and the
+joint shortest word.  This module represents NFA state sets as machine
+integers: state ``i`` is bit ``1 << i``, a subset is one
+arbitrary-precision ``int``, a nondeterministic step is an OR of
+per-state target masks, and subset union/intersection are single
+``|``/``&`` operations.  Python ints are unbounded, so automata spanning
+64-bit word boundaries (63/64/65 states) need no special casing — the
+word-boundary tests in ``tests/test_bitkernel.py`` pin this down.
 
 Because a linear pattern's matching NFA (:func:`linear_pattern_nfa`) has
 transitions that are either *any-symbol* (wildcards, descendant-gap
@@ -24,28 +22,24 @@ fork *and* spawn pool workers through :class:`CompiledArtifact` payloads
 (:meth:`MaskTable.to_payload` round-trips through pickle and JSON alike),
 and reused across every alphabet a pattern pair induces.
 
-The three decision loops mirror their set-based counterparts exactly:
+Two decision loops run on the tables:
 
-* :func:`joint_shortest_word_bits` is the bitset twin of
-  :func:`repro.automata.dfa.joint_shortest_word` — BFS over pairs of
-  determinized subsets in sorted-alphabet order with parent pointers, so
-  it returns the *same* (length, lexicographically) least witness word
-  and the conflict algorithms produce byte-identical witnesses;
-* :func:`intersection_nonempty` is the decision-only form (no parent
-  tracking, symbol classes collapsed) used where only a verdict is
-  needed;
-* :func:`bitset_matching_profile` packs the ``(i, j)`` reachability DP of
-  :func:`repro.conflicts.linear_dp.matching_profile` into one integer and
-  advances whole frontiers per shift instead of one state per queue pop.
+* :func:`joint_shortest_word_bits` — BFS over pairs of determinized
+  subsets in sorted-alphabet order with parent pointers, so it returns
+  the (length, lexicographically) least word of the intersection, the
+  same word :meth:`repro.automata.nfa.NFA.shortest_accepted_word` finds
+  on the eager NFA product;
+* :func:`bitset_matching_profile` — the one-pass dynamic program of the
+  REMARK after Theorem 1: the ``(i, j)`` reachability of "trunk consumed
+  ``i`` spine nodes, read consumed ``j``" packed into one integer, with
+  whole frontiers advanced per shift.
 
 Every loop keeps a cooperative budget checkpoint
 (:func:`repro.resilience.budget.checkpoint`), so armed deadlines and step
-limits degrade decisions to ``UNKNOWN`` exactly as on the sets kernel.
-The sets kernel survives as the reference oracle behind
-``DetectorConfig(kernel="sets")``; the kernel-differential battery
-(``tests/test_bitkernel.py`` and the 3-way pass in
-``tests/test_differential.py``) holds the two to byte-identical verdicts,
-witnesses, and discharge reasons.
+limits degrade decisions to ``UNKNOWN``.  The independent oracles this
+kernel is held to — the eager NFA product and brute-force witness
+search — live in ``tests/test_bitkernel.py`` and
+``tests/test_differential.py``.
 """
 
 from __future__ import annotations
@@ -53,7 +47,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 
-from repro.patterns.pattern import WILDCARD, Axis, TreePattern, fresh_label
+from repro.patterns.pattern import WILDCARD, Axis, TreePattern
 from repro.resilience.budget import checkpoint
 
 __all__ = [
@@ -61,10 +55,7 @@ __all__ = [
     "BitsetAutomaton",
     "spine_spec",
     "joint_shortest_word_bits",
-    "intersection_nonempty",
     "bitset_matching_profile",
-    "matching_word_bits",
-    "match_bits",
 ]
 
 #: Spine spec entry: ``(label_or_wildcard, incoming_edge_is_descendant)``.
@@ -75,8 +66,7 @@ def spine_spec(pattern: TreePattern) -> SpineSpec:
     """The linear pattern's spine as ``(label, is_descendant)`` pairs.
 
     This is the only view of a pattern the kernel needs — the same
-    projection :func:`repro.conflicts.linear_dp.matching_profile` and
-    :func:`repro.automata.matching.match_dp` work from.
+    projection :func:`repro.automata.matching.match_dp` works from.
     """
     pattern.require_linear("bitset kernel operand")
     return tuple(
@@ -162,9 +152,9 @@ class MaskTable:
         """The table of an explicit :class:`repro.automata.nfa.NFA`.
 
         No any-row compression is attempted — every transition lands in a
-        per-label row.  Used by the differential battery to compare the
-        bitset step against the set step on *arbitrary* automata, not
-        just pattern-shaped ones.
+        per-label row.  Used by the test oracles to compare the bitset
+        step against the set step on *arbitrary* automata, not just
+        pattern-shaped ones.
         """
         if nfa.start is None:
             raise ValueError("cannot build masks for an NFA without a start")
@@ -267,10 +257,10 @@ class MaskTable:
 class BitsetAutomaton:
     """A :class:`MaskTable` plus memoized subset stepping.
 
-    The working currency is the determinized subset-as-int: ``step``
-    ORs the target masks of every set bit and memoizes the result per
-    ``(subset, symbol)``, so a compile-cached automaton warms exactly
-    like a :class:`repro.automata.dfa.LazyDFA` — repeated queries walk
+    A lazily determinized view of the table's NFA: the working currency
+    is the determinized subset-as-int, ``step`` ORs the target masks of
+    every set bit and memoizes the result per ``(subset, symbol)``, so a
+    compile-cached automaton warms across queries — repeated queries walk
     already-materialized transitions.
     """
 
@@ -315,7 +305,7 @@ class BitsetAutomaton:
 
 
 # ----------------------------------------------------------------------
-# The three bitwise decision loops
+# The bitwise decision loops
 # ----------------------------------------------------------------------
 
 
@@ -326,14 +316,14 @@ def joint_shortest_word_bits(
 ) -> list[str] | None:
     """A shortest word of ``L(left) ∩ L(right)``, or ``None`` when empty.
 
-    The bitset twin of :func:`repro.automata.dfa.joint_shortest_word`:
     BFS over pairs of determinized subsets, symbols tried in (sorted)
-    alphabet order, parent pointers for reconstruction.  Both BFSs
-    discover states in (length, lexicographic) order and stop at the
-    first accepting discovery, so they return the *same* word — the
-    byte-identical-witness guarantee the kernel-differential suite pins.
-    A cooperative budget checkpoint per expanded pair keeps pathological
-    products abortable, mirroring the sets kernel.
+    alphabet order, parent pointers for reconstruction.  States are
+    discovered in (length, lexicographic) order and the search stops at
+    the first accepting discovery, so the result is the (length, lex)-least
+    word — exactly the word the eager NFA product's
+    :meth:`~repro.automata.nfa.NFA.shortest_accepted_word` returns, which
+    the differential suite pins.  A cooperative budget checkpoint per
+    expanded pair keeps pathological products abortable.
     """
     shift = right.table.size
     left_start, right_start = left.start_mask, right.start_mask
@@ -370,61 +360,27 @@ def joint_shortest_word_bits(
     return None
 
 
-def intersection_nonempty(
-    left: BitsetAutomaton,
-    right: BitsetAutomaton,
-    alphabet: tuple[str, ...],
-) -> bool:
-    """Decision-only product emptiness: ``L(left) ∩ L(right) ≠ ∅``.
-
-    Same reachability frontier as :func:`joint_shortest_word_bits` minus
-    parent tracking, and symbols collapsed into row-equivalence classes
-    first (two symbols with identical rows on both sides step every pair
-    identically, so only one representative is explored — the spare
-    alphabet symbol always collapses into the wildcard class).
-    """
-    left_start, right_start = left.start_mask, right.start_mask
-    if (left_start & left.accepting) and (right_start & right.accepting):
-        return True
-    classes: dict[tuple[tuple[int, ...], tuple[int, ...]], str] = {}
-    for symbol in alphabet:
-        classes.setdefault((left.rows(symbol), right.rows(symbol)), symbol)
-    symbols = tuple(classes.values())
-    shift = right.table.size
-    seen = {(left_start << shift) | right_start}
-    queue: deque[tuple[int, int]] = deque([(left_start, right_start)])
-    while queue:
-        checkpoint("bitkernel.product")
-        ls, rs = queue.popleft()
-        for symbol in symbols:
-            lt = left.step(ls, symbol)
-            if not lt:
-                continue
-            rt = right.step(rs, symbol)
-            if not rt:
-                continue
-            if (lt & left.accepting) and (rt & right.accepting):
-                return True
-            key = (lt << shift) | rt
-            if key not in seen:
-                seen.add(key)
-                queue.append((lt, rt))
-    return False
-
-
 def bitset_matching_profile(
     left: SpineSpec, right: SpineSpec
 ) -> tuple[set[int], set[int]]:
-    """Bit-parallel twin of :func:`repro.conflicts.linear_dp.matching_profile`.
+    """Weak/strong match status of every read-spine prefix, in one pass.
+
+    Returns ``(strong, weak)`` — the prefix lengths ``j`` (counted in
+    nodes, ``1 <= j <= len(right)``) such that the ``left`` trunk matches
+    the ``right`` read's spine through its ``j``-th node strongly resp.
+    weakly (Definition 7).
 
     The DP state ``(i, j)`` — trunk consumed ``i`` spine nodes of a
     hypothetical witness chain, the read consumed ``j`` — becomes bit
     ``i * (n + 1) + j`` of a single integer, and one fixpoint round
     advances the *whole* frontier per symbol class with three shifts
     (both-consume ``<< n + 2``, left-only ``<< n + 1``, right-only
-    ``<< 1``) instead of popping states off a queue one at a time.
-    Returns the same ``(strong, weak)`` prefix-status sets as the
-    reference (pinned by the kernel-differential battery).
+    ``<< 1``).  A side may skip a chain symbol only while its pending
+    edge is a descendant edge (or it has finished).  ``strong[j]`` is
+    recorded when a step consumes the final trunk node and the ``j``-th
+    read node together; ``weak[j]`` adds every reachable ``(i, j)`` with
+    the trunk unfinished, whose rest can always be completed below the
+    read's ``j``-th node.  The state space is ``O(|trunk| · |read|)``.
     """
     m, n = len(left), len(right)
     width = n + 1
@@ -506,48 +462,3 @@ def bitset_matching_profile(
         weak.add((low.bit_length() - 1) % width)
         unfinished ^= low
     return strong, weak
-
-
-# ----------------------------------------------------------------------
-# Pattern-level entry points (the uncached bitset reference path)
-# ----------------------------------------------------------------------
-
-
-def _pattern_alphabet(left: TreePattern, right: TreePattern) -> tuple[str, ...]:
-    # Same construction as matching.matching_alphabet (kept dependency-free
-    # to avoid an import cycle); identical output is pinned by tests.
-    labels = left.labels() | right.labels()
-    return tuple(sorted(labels | {fresh_label(labels)}))
-
-
-def _pattern_automata(
-    left: TreePattern, right: TreePattern, weak: bool
-) -> tuple[BitsetAutomaton, BitsetAutomaton]:
-    left_table = MaskTable.from_pattern(left)
-    right_table = MaskTable.from_pattern(right)
-    if weak:
-        right_table = right_table.with_any_suffix()
-    return BitsetAutomaton(left_table), BitsetAutomaton(right_table)
-
-
-def matching_word_bits(
-    left: TreePattern, right: TreePattern, weak: bool
-) -> list[str] | None:
-    """Uncached bitset reference: fresh mask tables, joint subset BFS.
-
-    Contract of :func:`repro.automata.matching.matching_word` — including
-    the exact witness word — without any compile cache.  This is what a
-    disabled compiler runs under ``kernel="bitset"``.
-    """
-    left_auto, right_auto = _pattern_automata(left, right, weak)
-    return joint_shortest_word_bits(
-        left_auto, right_auto, _pattern_alphabet(left, right)
-    )
-
-
-def match_bits(left: TreePattern, right: TreePattern, weak: bool) -> bool:
-    """Decision-only form of :func:`matching_word_bits` (emptiness test)."""
-    left_auto, right_auto = _pattern_automata(left, right, weak)
-    return intersection_nonempty(
-        left_auto, right_auto, _pattern_alphabet(left, right)
-    )

@@ -128,26 +128,12 @@ def matching_word(
     some node of the chain at or above it (weak).
 
     Delegates to the process-global :class:`repro.compile.PatternCompiler`,
-    which memoizes the intersection product per interned pattern pair (and
-    carries the gated ``matching.word`` span).  The pre-compile eager NFA
-    product survives as :func:`_matching_word_impl` — the uncached
-    reference path used by disabled compilers and the differential tests.
+    which runs the bit-parallel product, memoizes it per interned pattern
+    pair, and carries the gated ``matching.word`` span.
     """
     from repro.compile.compiler import global_compiler
 
     return global_compiler().matching_word(left, right, weak)
-
-
-def _matching_word_impl(
-    left: TreePattern, right: TreePattern, weak: bool
-) -> list[str] | None:
-    """Uncached reference: explicit NFAs, eager product, BFS for a word."""
-    alphabet = matching_alphabet(left, right)
-    left_nfa = linear_pattern_nfa(left, alphabet)
-    right_nfa = linear_pattern_nfa(right, alphabet)
-    if weak:
-        right_nfa = right_nfa.with_any_suffix()
-    return left_nfa.intersect(right_nfa).shortest_accepted_word()
 
 
 def match_dp(left: TreePattern, right: TreePattern, weak: bool) -> bool:

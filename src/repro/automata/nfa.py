@@ -2,10 +2,13 @@
 
 Section 4.1 of the paper decides *weak* and *strong* matching of linear
 patterns by building regular expressions from the patterns, intersecting
-their languages, and testing emptiness.  This module supplies the automaton
-substrate: a small explicit-transition NFA with product construction,
-emptiness testing, and shortest-witness extraction (the witness word becomes
-the chain tree used in conflict-witness construction).
+their languages, and testing emptiness.  This module supplies that
+construction literally: a small explicit-transition NFA with product
+construction, emptiness testing, and shortest-witness extraction.  The
+engine decides on the bit-parallel kernel
+(:mod:`repro.automata.bitkernel`); this NFA is the independent
+subset-simulation oracle the test suite holds the kernel to, verdict for
+verdict and witness word for witness word.
 
 The alphabet is always finite here.  The paper justifies this (Section 4.1):
 an infinite-alphabet witness can be relabeled into ``Σ_l ∪ Σ_{l'}``, because
@@ -102,14 +105,13 @@ class NFA:
         subset correspond to exactly one word, so states are discovered
         in (length, lexicographic) order and the returned word is the
         (length, lex)-least accepted word — the same canonical witness
-        :func:`repro.automata.dfa.joint_shortest_word` and the bitset
-        kernel's :func:`repro.automata.bitkernel.joint_shortest_word_bits`
-        produce.  (Per-state BFS cannot guarantee this: two states first
+        the bitset kernel's
+        :func:`repro.automata.bitkernel.joint_shortest_word_bits`
+        produces.  (Per-state BFS cannot guarantee this: two states first
         reached by the *same* word may expand their successors in an
         order that inverts lexicographic order.)  The word is what the
         conflict algorithms turn into a witness chain, so canonicality
-        here is what makes witnesses byte-identical across kernels and
-        cache modes.
+        here is what lets the test oracle demand the kernel's exact word.
         """
         if self.start is None:
             raise ValueError("NFA has no start state")
@@ -174,10 +176,9 @@ class NFA:
         queue.append((self.start, other.start))
         seen = {(self.start, other.start)}
         while queue:
-            # Product construction is quadratic in states and is inside
-            # the engine's hottest path; a cooperative budget checkpoint
-            # per expanded product state keeps pathological intersections
-            # abortable (see repro.resilience).
+            # Product construction is quadratic in states; a cooperative
+            # budget checkpoint per expanded product state keeps
+            # pathological intersections abortable (see repro.resilience).
             checkpoint("nfa.intersect")
             a, b = queue.popleft()
             source = state_for(a, b)

@@ -495,37 +495,6 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
         help="per-decision search-step cap; an exceeded decision degrades "
         "to UNKNOWN with reason 'step_limit' (exit code 3)",
     )
-    _add_compile_args(parser)
-
-
-def _add_compile_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--compile-cache-size", type=int, default=None, metavar="N",
-        help="entries per compile-cache family (interned patterns, NFAs, "
-        "matching words, ...).  Default shares the process-wide cache; "
-        "0 disables compilation entirely (the uncached reference path)",
-    )
-    parser.add_argument(
-        "--kernel", choices=["bitset", "sets"], default=None,
-        help="matching kernel for the PTIME decision path: 'bitset' "
-        "(default, bit-parallel) or 'sets' (the frozenset reference "
-        "oracle — slower, useful for cross-checking)",
-    )
-
-
-def _compile_config_kwargs(args: argparse.Namespace) -> dict:
-    """The :class:`DetectorConfig` compile knobs implied by the CLI flags."""
-    kwargs: dict = {}
-    kernel = getattr(args, "kernel", None)
-    if kernel is not None:
-        kwargs["kernel"] = kernel
-    size = getattr(args, "compile_cache_size", None)
-    if size is not None:
-        if size <= 0:
-            kwargs["compile_cache"] = False
-        else:
-            kwargs["compile_cache_size"] = size
-    return kwargs
 
 
 def _add_catalogue_args(parser: argparse.ArgumentParser) -> None:
@@ -671,7 +640,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         exhaustive_cap=args.budget,
         deadline_s=args.timeout,
         max_steps=args.max_steps,
-        **_compile_config_kwargs(args),
     )
     args._detector = detector  # _print_stats reads its metrics for --stats
     report = detector.read_update(read, update)
@@ -683,7 +651,6 @@ def _cmd_commute(args: argparse.Namespace) -> int:
         exhaustive_cap=args.budget,
         deadline_s=args.timeout,
         max_steps=args.max_steps,
-        **_compile_config_kwargs(args),
     )
     args._detector = detector  # _print_stats reads its metrics for --stats
     first = _make_update(args.insert1, args.delete1, args.xml1)
@@ -722,7 +689,6 @@ def _make_analyzer(args: argparse.Namespace) -> BatchAnalyzer:
         exhaustive_cap=args.budget,
         deadline_s=args.timeout,
         max_steps=args.max_steps,
-        **_compile_config_kwargs(args),
     )
     return BatchAnalyzer(
         config,

@@ -1,16 +1,14 @@
 """Compile-once layer: pattern interning, automaton compilation, memos.
 
 See :mod:`repro.compile.compiler` for the architecture overview and
-``docs/PERFORMANCE.md`` for knobs, metrics, and benchmarks.
+``docs/PERFORMANCE.md`` for metrics and benchmarks.
 """
 
 from repro.compile.cache import MISS, LRUCache
 from repro.compile.compiler import (
     DEFAULT_CACHE_SIZE,
-    KERNELS,
     CompiledArtifact,
     PatternCompiler,
-    compiler_for_config,
     global_compiler,
     reset_global_compiler,
 )
@@ -20,10 +18,8 @@ __all__ = [
     "MISS",
     "LRUCache",
     "DEFAULT_CACHE_SIZE",
-    "KERNELS",
     "CompiledArtifact",
     "PatternCompiler",
-    "compiler_for_config",
     "global_compiler",
     "reset_global_compiler",
     "InternedPattern",

@@ -2,48 +2,33 @@
 
 Batch workloads repeat a small set of unique patterns across thousands
 of pairs, yet the Section 4 decision procedures re-derive the same
-artifacts — the update trunk ``SEQ_{ROOT(D)}^{O(D)}``, linear-pattern
-NFAs, weak/strong intersection products, per-edge cut-edge scans — on
-every call.  :class:`PatternCompiler` owns those artifacts:
+artifacts — the update trunk ``SEQ_{ROOT(D)}^{O(D)}``, the patterns'
+matching automata, weak/strong intersection products, per-edge cut-edge
+scans — on every call.  :class:`PatternCompiler` owns those artifacts:
 
 * patterns are canonicalized and **interned** once
   (:mod:`repro.compile.intern`), giving every downstream memo a
   constant-time key;
-* each unique linear pattern is compiled to its NFA exactly once per
-  alphabet, and to a lazily-determinized DFA
-  (:class:`repro.automata.dfa.LazyDFA`) per (alphabet, weak/strong)
-  side;
+* each unique linear pattern is compiled once per weak/strong side to a
+  bit-parallel matcher (:class:`repro.automata.bitkernel.BitsetAutomaton`
+  over an alphabet-independent
+  :class:`~repro.automata.bitkernel.MaskTable`), so every product or
+  profile question becomes bitwise AND/OR/shift loops;
 * trunk extraction, spine prefixes/suffixes, matching words
   (intersection products), matching profiles, and cut-edge scans are
   memoized in bounded LRU caches (:mod:`repro.compile.cache`), with
   ``compile.<family>.{hits,misses,evictions}`` counters in the metrics
   registry.
 
-Orthogonally to caching, the compiler selects the *automata kernel*
-(``kernel="bitset"`` by default): the matching primitives run on the
-bit-parallel kernel of :mod:`repro.automata.bitkernel` — per-pattern
-:class:`~repro.automata.bitkernel.MaskTable` artifacts are precomputed
-once into the ``compile.bitmask`` family and every product/profile
-question becomes bitwise AND/OR/shift loops — while ``kernel="sets"``
-retains the dict-of-sets machinery as the reference oracle.  The two
-kernels are held to byte-identical verdicts, witnesses, and discharge
-reasons by the kernel-differential battery (``tests/test_bitkernel.py``
-and ``tests/test_differential.py``).
-
-A compiler constructed with ``enabled=False`` is a *pass-through*: every
-method computes from scratch along the uncached code path (eager NFA
-products via :func:`repro.automata.matching._matching_word_impl` under
-``kernel="sets"``, fresh mask tables via
-:func:`repro.automata.bitkernel.matching_word_bits` under
-``kernel="bitset"``), which is both the uncached reference the
-benchmarks compare against and an independent implementation for the
-differential test suite.
+This is the engine's one decision path.  Its independent test oracles —
+the eager NFA product (:class:`repro.automata.nfa.NFA`) and brute-force
+witness search checked by Lemma 1 — live in the differential suite
+(``tests/test_differential.py``), not here.
 
 Process-global sharing: :func:`global_compiler` returns one process-wide
-instance (counters land in :func:`repro.obs.global_metrics`); detectors
-configured with an explicit ``compile_cache_size`` get a private
-compiler wired to their private registry (see
-:func:`compiler_for_config`).
+instance (counters land in :func:`repro.obs.global_metrics`); a detector
+that needs a private cache takes one explicitly
+(``ConflictDetector(compiler=PatternCompiler(...))``).
 """
 
 from __future__ import annotations
@@ -56,13 +41,8 @@ from repro.automata.bitkernel import (
     MaskTable,
     bitset_matching_profile,
     joint_shortest_word_bits,
-    match_bits,
-    matching_word_bits,
     spine_spec,
 )
-from repro.automata.dfa import LazyDFA, joint_shortest_word
-from repro.automata.matching import _matching_word_impl, linear_pattern_nfa
-from repro.automata.nfa import NFA
 from repro.compile.cache import MISS, LRUCache
 from repro.compile.intern import InternedPattern, PatternInterner
 from repro.obs import enabled as obs_enabled
@@ -73,19 +53,14 @@ from repro.patterns.xpath import parse_xpath, to_xpath
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
-    "KERNELS",
     "CompiledArtifact",
     "PatternCompiler",
     "global_compiler",
     "reset_global_compiler",
-    "compiler_for_config",
 ]
 
-#: Default entries per memo family (intern table, NFAs, DFAs, words, ...).
+#: Default entries per memo family (intern table, mask tables, words, ...).
 DEFAULT_CACHE_SIZE = 1024
-
-#: Recognized automata kernels (see module docstring).
-KERNELS = ("bitset", "sets")
 
 #: Union of the two pattern handles the compiler accepts everywhere.
 PatternLike = TreePattern | InternedPattern
@@ -110,9 +85,9 @@ class CompiledArtifact:
     linear: bool = True
     #: Bitset-kernel mask tables (:meth:`MaskTable.to_payload`) of the
     #: decision-hot pattern side — the read pattern itself for reads, the
-    #: trunk for updates.  ``None`` for branching reads or sets-kernel
-    #: compilers.  Nested tuples of ints/strs, so the artifact stays
-    #: picklable under both fork and spawn start methods.
+    #: trunk for updates.  ``None`` for branching reads.  Nested tuples of
+    #: ints/strs, so the artifact stays picklable under both fork and
+    #: spawn start methods.
     mask_payload: tuple | None = None
 
 
@@ -123,21 +98,8 @@ class PatternCompiler:
         self,
         maxsize: int = DEFAULT_CACHE_SIZE,
         registry: MetricsRegistry | None = None,
-        enabled: bool = True,
-        kernel: str = "bitset",
     ) -> None:
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown automata kernel {kernel!r}; expected one of {KERNELS}"
-            )
-        self.enabled = enabled
-        self.kernel = kernel
-        self.registry = registry
-        if not enabled:
-            return
         self._interner = PatternInterner(maxsize, registry)
-        self._nfa = LRUCache(maxsize, registry, family="compile.nfa")
-        self._dfa = LRUCache(maxsize, registry, family="compile.dfa")
         self._bitmask = LRUCache(maxsize, registry, family="compile.bitmask")
         self._match = LRUCache(maxsize, registry, family="compile.match")
         self._profile = LRUCache(maxsize, registry, family="compile.profile")
@@ -150,21 +112,17 @@ class PatternCompiler:
 
     @property
     def generation(self) -> int:
-        """Intern-table generation (0 forever for a disabled compiler)."""
-        return self._interner.generation if self.enabled else 0
+        """Intern-table generation (bumped by every :meth:`reset`)."""
+        return self._interner.generation
 
     def intern(self, pattern: PatternLike) -> InternedPattern:
-        """Intern ``pattern`` (enabled compilers only)."""
+        """Intern ``pattern``: the constant-time key of every memo family."""
         return self._interner.intern(pattern)
 
     @staticmethod
     def as_pattern(handle: PatternLike) -> TreePattern:
         """The raw :class:`TreePattern` behind either kind of handle."""
         return handle.pattern if isinstance(handle, InternedPattern) else handle
-
-    def handle(self, pattern: PatternLike) -> PatternLike:
-        """The preferred handle: interned when enabled, raw otherwise."""
-        return self.intern(pattern) if self.enabled else self.as_pattern(pattern)
 
     def reset(self) -> None:
         """Drop every compiled artifact and start a fresh generation.
@@ -173,32 +131,26 @@ class PatternCompiler:
         stale (they compare unequal to everything minted afterwards), so
         downstream caches keyed on them can never serve aliased entries.
         """
-        if not self.enabled:
-            return
         self._interner.reset()
         for cache in self._caches():
             cache.clear()
 
     def _caches(self) -> list[LRUCache]:
         return [
-            self._interner.cache, self._nfa, self._dfa, self._bitmask,
+            self._interner.cache, self._bitmask,
             self._match, self._profile, self._derived, self._edge,
         ]
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-family ``{hits, misses, evictions, size, maxsize}``."""
-        if not self.enabled:
-            return {}
         return {cache.family: cache.stats() for cache in self._caches()}
 
     # ------------------------------------------------------------------
     # Derived patterns: trunk, spine prefixes and suffixes
     # ------------------------------------------------------------------
 
-    def trunk(self, pattern: PatternLike) -> PatternLike:
-        """``SEQ_{ROOT(p)}^{O(p)}`` — interned and memoized when enabled."""
-        if not self.enabled:
-            return self.as_pattern(pattern).trunk()
+    def trunk(self, pattern: PatternLike) -> InternedPattern:
+        """``SEQ_{ROOT(p)}^{O(p)}`` — interned and memoized."""
         p = self.intern(pattern)
         hit = self._derived.get((p, "trunk"))
         if hit is not MISS:
@@ -207,18 +159,12 @@ class PatternCompiler:
         self._derived.put((p, "trunk"), trunk)
         return trunk
 
-    def spine_prefix(self, read: PatternLike, index: int) -> PatternLike:
+    def spine_prefix(self, read: PatternLike, index: int) -> InternedPattern:
         """``SEQ_ROOT(R)`` through the ``index``-th spine node."""
-        if not self.enabled:
-            rp = self.as_pattern(read)
-            return rp.seq_root_to(rp.spine()[index])
         return self._prefixes(self.intern(read))[index]
 
-    def spine_suffix(self, read: PatternLike, index: int) -> PatternLike:
+    def spine_suffix(self, read: PatternLike, index: int) -> InternedPattern:
         """``SEQ`` from the ``index``-th spine node down to the output."""
-        if not self.enabled:
-            rp = self.as_pattern(read)
-            return rp.seq(rp.spine()[index], rp.output)
         return self._suffixes(self.intern(read))[index]
 
     def _prefixes(self, read: InternedPattern) -> tuple[InternedPattern, ...]:
@@ -247,61 +193,20 @@ class PatternCompiler:
     # Automata
     # ------------------------------------------------------------------
 
-    def nfa(self, pattern: PatternLike, alphabet: tuple[str, ...]) -> NFA:
-        """The pattern's matching NFA over ``alphabet``, built once."""
-        if not self.enabled:
-            return linear_pattern_nfa(self.as_pattern(pattern), alphabet)
-        p = self.intern(pattern)
-        key = (p, alphabet)
-        hit = self._nfa.get(key)
-        if hit is not MISS:
-            return hit
-        nfa = linear_pattern_nfa(p.pattern, alphabet)
-        self._nfa.put(key, nfa)
-        return nfa
-
-    def dfa(
-        self, pattern: PatternLike, alphabet: tuple[str, ...], weak: bool
-    ) -> LazyDFA:
-        """The lazily-determinized matcher, per (alphabet, weak) side.
-
-        The ``weak`` side determinizes ``L(p)·(.)*`` (the suffixed NFA of
-        Definition 7's weak matching); the strong side determinizes
-        ``L(p)`` itself.
-        """
-        if not self.enabled:
-            base = linear_pattern_nfa(self.as_pattern(pattern), alphabet)
-            return LazyDFA(base.with_any_suffix() if weak else base)
-        p = self.intern(pattern)
-        key = (p, alphabet, weak)
-        hit = self._dfa.get(key)
-        if hit is not MISS:
-            return hit
-        base = self.nfa(p, alphabet)
-        if weak:
-            base = base.with_any_suffix()
-        dfa = LazyDFA(base)
-        if obs_enabled():
-            global_metrics().inc("dfa.built")
-        self._dfa.put(key, dfa)
-        return dfa
-
     def bitset_automaton(
         self, pattern: PatternLike, weak: bool
     ) -> BitsetAutomaton:
         """The pattern's bit-parallel matcher, per weak/strong side.
 
-        Mask tables are **alphabet independent** (a linear pattern's NFA
-        only has any-symbol and single-label transitions), so unlike
-        :meth:`dfa` the memo key is just ``(pattern, weak)`` — one
-        artifact serves every alphabet the pattern ever meets, and its
-        memoized subset steps warm across queries like a
-        :class:`LazyDFA`'s transitions.  The weak side reuses the cached
+        The ``weak`` side matches ``L(p)·(.)*`` (the suffixed automaton of
+        Definition 7's weak matching); the strong side matches ``L(p)``
+        itself.  Mask tables are **alphabet independent** (a linear
+        pattern's NFA only has any-symbol and single-label transitions),
+        so the memo key is just ``(pattern, weak)`` — one artifact serves
+        every alphabet the pattern ever meets, and its memoized subset
+        steps warm across queries.  The weak side reuses the cached
         strong table (one extra sink state, not a rebuild).
         """
-        if not self.enabled:
-            table = MaskTable.from_pattern(self.as_pattern(pattern))
-            return BitsetAutomaton(table.with_any_suffix() if weak else table)
         p = self.intern(pattern)
         key = (p, weak)
         hit = self._bitmask.get(key)
@@ -321,14 +226,8 @@ class PatternCompiler:
         self, left: PatternLike, right: PatternLike
     ) -> tuple[str, ...]:
         """``Σ_l ∪ Σ_{l'}`` plus one spare symbol (cf. ``matching_alphabet``)."""
-        labels = self._labels(left) | self._labels(right)
+        labels = self.intern(left).labels | self.intern(right).labels
         return tuple(sorted(labels | {fresh_label(labels)}))
-
-    @staticmethod
-    def _labels(handle: PatternLike) -> set[str]:
-        if isinstance(handle, InternedPattern):
-            return set(handle.labels)
-        return handle.labels()
 
     # ------------------------------------------------------------------
     # Matching (Definition 7) — the intersection-product memo
@@ -357,81 +256,49 @@ class PatternCompiler:
     def _matching_word(
         self, left: PatternLike, right: PatternLike, weak: bool
     ) -> list[str] | None:
-        if not self.enabled:
-            lp, rp = self.as_pattern(left), self.as_pattern(right)
-            if self.kernel == "bitset":
-                return matching_word_bits(lp, rp, weak)
-            return _matching_word_impl(lp, rp, weak)
         li, ri = self.intern(left), self.intern(right)
         key = (li, ri, weak)
         hit = self._match.get(key)
         if hit is not MISS:
             return None if hit is None else list(hit)
-        alphabet = self.alphabet(li, ri)
-        if self.kernel == "bitset":
-            word = joint_shortest_word_bits(
-                self.bitset_automaton(li, False),
-                self.bitset_automaton(ri, weak),
-                alphabet,
-            )
-        else:
-            word = joint_shortest_word(
-                self.dfa(li, alphabet, weak=False),
-                self.dfa(ri, alphabet, weak=weak),
-            )
+        word = joint_shortest_word_bits(
+            self.bitset_automaton(li, False),
+            self.bitset_automaton(ri, weak),
+            self.alphabet(li, ri),
+        )
         self._match.put(key, None if word is None else tuple(word))
         return word
 
     def match(self, left: PatternLike, right: PatternLike, weak: bool) -> bool:
-        """Decision form of :meth:`matching_word`.
-
-        On a *disabled* bitset-kernel compiler this short-circuits to the
-        parent-free emptiness test (:func:`match_bits`) — there is no
-        memo to share with later witness extraction, so skipping the BFS
-        parent pointers is pure win on the uncached decision path.  Both
-        forms answer identically (a word exists iff the intersection is
-        non-empty).
-        """
-        if not self.enabled and self.kernel == "bitset":
-            return match_bits(self.as_pattern(left), self.as_pattern(right), weak)
+        """Decision form of :meth:`matching_word` (sharing its memo)."""
         return self.matching_word(left, right, weak) is not None
 
     def matching_profile(
         self, trunk: PatternLike, read: PatternLike
     ) -> tuple[frozenset[int], frozenset[int]]:
-        """Memoized weak/strong prefix profile of a (trunk, read) pair.
+        """Memoized weak/strong match status of every read-spine prefix.
 
-        Dispatches on the kernel: the queue-based reference
-        (:func:`repro.conflicts.linear_dp.matching_profile`) under
-        ``sets``, the packed-frontier fixpoint
-        (:func:`repro.automata.bitkernel.bitset_matching_profile`) under
-        ``bitset``.  Identical results, pinned by the differential suite.
+        Returns ``(strong, weak)`` — the prefix lengths ``j`` (counted in
+        nodes, ``1 <= j <= |spine(read)|``) such that the trunk matches
+        ``SEQ_ROOT(R)`` through the ``j``-th spine node strongly resp.
+        weakly (Definition 7).  One packed-frontier fixpoint
+        (:func:`repro.automata.bitkernel.bitset_matching_profile`) answers
+        every prefix at once — the dynamic program the paper's REMARK
+        after Theorem 1 suggests in place of one product per read edge.
         """
-        if not self.enabled:
-            strong, weak = self._raw_profile(
-                self.as_pattern(trunk), self.as_pattern(read)
-            )
-            return frozenset(strong), frozenset(weak)
         ti, ri = self.intern(trunk), self.intern(read)
         key = (ti, ri)
         hit = self._profile.get(key)
         if hit is not MISS:
             return hit
-        strong, weak = self._raw_profile(ti.pattern, ri.pattern)
+        ti.pattern.require_linear("update trunk")
+        ri.pattern.require_linear("read pattern")
+        strong, weak = bitset_matching_profile(
+            spine_spec(ti.pattern), spine_spec(ri.pattern)
+        )
         value = (frozenset(strong), frozenset(weak))
         self._profile.put(key, value)
         return value
-
-    def _raw_profile(
-        self, trunk: TreePattern, read: TreePattern
-    ) -> tuple[set[int], set[int]]:
-        if self.kernel == "bitset":
-            trunk.require_linear("update trunk")
-            read.require_linear("read pattern")
-            return bitset_matching_profile(spine_spec(trunk), spine_spec(read))
-        from repro.conflicts.linear_dp import matching_profile as raw_profile
-
-        return raw_profile(trunk, read)
 
     def edge_scan(
         self,
@@ -447,8 +314,6 @@ class PatternCompiler:
         the memo transfers between structurally identical patterns).
         ``compute`` runs on miss only.
         """
-        if not self.enabled:
-            return compute()
         key = (tag, self.intern(read), self.intern(trunk))
         hit = self._edge.get(key)
         if hit is not MISS:
@@ -468,8 +333,6 @@ class PatternCompiler:
         their spine prefixes/suffixes derived (when linear); updates get
         their trunk extracted.  Idempotent and cheap when already warm.
         """
-        if not self.enabled:
-            return
         interned = self.intern(op.pattern)
         if type(op).__name__ == "Read":
             if interned.is_linear:
@@ -479,59 +342,42 @@ class PatternCompiler:
             self.trunk(interned)
 
     def artifact(self, op) -> CompiledArtifact:  # type: ignore[no-untyped-def]
-        """The picklable compiled transport of ``op`` (warms this compiler)."""
-        return self.artifact_from(type(op).__name__, op.pattern)
+        """The picklable compiled transport of ``op`` (warms this compiler).
 
-    def artifact_from(self, kind: str, pattern: PatternLike) -> CompiledArtifact:
-        """Build a :class:`CompiledArtifact` from a kind name and pattern.
-
-        Under the bitset kernel the artifact also carries the mask-table
-        payload of the decision-hot side (the read pattern itself, or an
-        update's trunk), so pool workers start with warm ``compile.bitmask``
+        The artifact also carries the mask-table payload of the
+        decision-hot side (the read pattern itself, or an update's
+        trunk), so pool workers start with warm ``compile.bitmask``
         entries under both fork and spawn.
         """
-        pattern = self.as_pattern(pattern)
+        kind = type(op).__name__
+        pattern = op.pattern
+        interned = self.intern(pattern)
         trunk_xpath: str | None = None
-        mask_payload: tuple | None = None
-        if self.enabled:
-            interned = self.intern(pattern)
-            pattern_key = interned.key
-            hot: PatternLike | None = interned if pattern.is_linear else None
-            if kind != "Read":
-                trunk = self.trunk(interned)
-                trunk_xpath = to_xpath(self.as_pattern(trunk))
-                hot = trunk
-            if self.kernel == "bitset" and hot is not None:
-                mask_payload = self.bitset_automaton(hot, False).table.to_payload()
-        else:
-            pattern_key = pattern.canonical_form()
-            hot_plain: TreePattern | None = (
-                pattern if pattern.is_linear else None
-            )
-            if kind != "Read":
-                hot_plain = pattern.trunk()
-                trunk_xpath = to_xpath(hot_plain)
-            if self.kernel == "bitset" and hot_plain is not None:
-                mask_payload = MaskTable.from_pattern(hot_plain).to_payload()
+        hot: InternedPattern | None = interned if pattern.is_linear else None
+        if kind != "Read":
+            hot = self.trunk(interned)
+            trunk_xpath = to_xpath(hot.pattern)
+        mask_payload = (
+            None
+            if hot is None
+            else self.bitset_automaton(hot, False).table.to_payload()
+        )
         return CompiledArtifact(
             kind=kind,
             xpath=to_xpath(pattern),
-            pattern_key=pattern_key,
+            pattern_key=interned.key,
             trunk_xpath=trunk_xpath,
             linear=pattern.is_linear,
             mask_payload=mask_payload,
         )
 
-    def seed(self, artifact: CompiledArtifact) -> InternedPattern | None:
+    def seed(self, artifact: CompiledArtifact) -> InternedPattern:
         """Adopt a shipped artifact: intern its pattern, pre-derive its trunk.
 
-        Returns the interned pattern (``None`` on a disabled compiler).
-        A transport mismatch (the rebuilt pattern's canonical form
-        disagreeing with the shipped key) falls back to local derivation
-        rather than seeding a wrong trunk.
+        Returns the interned pattern.  A transport mismatch (the rebuilt
+        pattern's canonical form disagreeing with the shipped key) falls
+        back to local derivation rather than seeding a wrong trunk.
         """
-        if not self.enabled:
-            return None
         interned = self.intern(parse_xpath(artifact.xpath))
         if interned.key != artifact.pattern_key:
             return interned  # defensive: never seed from a mismatched key
@@ -544,11 +390,7 @@ class PatternCompiler:
             self._prefixes(interned)
             self._suffixes(interned)
             hot = interned
-        if (
-            artifact.mask_payload is not None
-            and self.kernel == "bitset"
-            and hot is not None
-        ):
+        if artifact.mask_payload is not None and hot is not None:
             table = MaskTable.from_payload(artifact.mask_payload)
             expected = 1 + sum(
                 2 if descendant else 1
@@ -584,33 +426,3 @@ def reset_global_compiler() -> None:
     """
     if _GLOBAL is not None:
         _GLOBAL.reset()
-
-
-def compiler_for_config(
-    compile_cache: bool,
-    compile_cache_size: int | None,
-    registry: MetricsRegistry | None = None,
-    kernel: str = "bitset",
-) -> PatternCompiler:
-    """The compiler implied by the :class:`DetectorConfig` compile knobs.
-
-    ``compile_cache=False`` (or a non-positive size) yields a disabled
-    pass-through compiler; an explicit positive size yields a private
-    compiler reporting into ``registry``; the default shares
-    :func:`global_compiler`.  All variants honor ``kernel`` — except that
-    the shared global compiler always runs the default bitset kernel, so
-    a sets-kernel detector with default cache settings gets a private
-    compiler instead (the reference oracle must never be silently served
-    bitset artifacts).
-    """
-    if not compile_cache:
-        return PatternCompiler(enabled=False, kernel=kernel)
-    if compile_cache_size is not None:
-        if compile_cache_size <= 0:
-            return PatternCompiler(enabled=False, kernel=kernel)
-        return PatternCompiler(
-            maxsize=compile_cache_size, registry=registry, kernel=kernel
-        )
-    if kernel != "bitset":
-        return PatternCompiler(registry=registry, kernel=kernel)
-    return global_compiler()

@@ -4,6 +4,8 @@ from repro.conflicts.api import AnalysisConfig, analyze
 from repro.conflicts.batch import (
     BatchAnalyzer,
     CanonicalOp,
+    ConflictMatrix,
+    Operation,
     VerdictCache,
     reference_matrix,
 )
@@ -37,23 +39,12 @@ from repro.conflicts.linear import (
     detect_read_insert_linear,
     find_cut_edge,
 )
-from repro.conflicts.linear_dp import (
-    detect_read_delete_linear_dp,
-    detect_read_insert_linear_dp,
-    matching_profile,
-)
 from repro.conflicts.reductions import (
     GadgetLabels,
     read_delete_gadget,
     read_delete_witness_from_noncontainment,
     read_insert_gadget,
     read_insert_witness_from_noncontainment,
-)
-from repro.conflicts.schedule import (
-    ConflictMatrix,
-    Operation,
-    conflict_matrix,
-    parallel_schedule,
 )
 from repro.conflicts.satisfiability import (
     is_satisfiable,
@@ -99,9 +90,6 @@ __all__ = [
     "detect_read_insert_linear",
     "detect_read_delete_linear",
     "find_cut_edge",
-    "detect_read_insert_linear_dp",
-    "detect_read_delete_linear_dp",
-    "matching_profile",
     "insert_insert_gadget",
     "insert_delete_gadget",
     "commutativity_witness_from_noncontainment",
@@ -125,7 +113,5 @@ __all__ = [
     "is_satisfiable",
     "universal_read",
     "satisfiability_via_conflict",
-    "conflict_matrix",
-    "parallel_schedule",
     "ConflictMatrix",
 ]

@@ -1,9 +1,8 @@
 """The unified catalogue-analysis facade: :func:`analyze`.
 
-One entrypoint replaces the three overlapping ones that grew over time
-(``BatchAnalyzer(...)``, ``conflict_matrix(...)``,
-``parallel_schedule(...)``).  Configuration lives in one frozen
-:class:`AnalysisConfig` that composes the per-decision
+One entrypoint for catalogue analysis, over the
+:class:`~repro.conflicts.batch.BatchAnalyzer` engine.  Configuration lives
+in one frozen :class:`AnalysisConfig` that composes the per-decision
 :class:`~repro.conflicts.detector.DetectorConfig` with the batch-level
 knobs that used to be scattered across constructor kwargs::
 
@@ -16,9 +15,8 @@ knobs that used to be scattered across constructor kwargs::
     config = repro.AnalysisConfig(jobs=8, containment=False)
     matrix = repro.analyze(ops, config=config)
 
-The old entrypoints remain as deprecated shims
-(:mod:`repro.conflicts.schedule`) and will be removed in a future major
-release; ``docs/BATCH_ANALYSIS.md`` has the migration table.
+``docs/BATCH_ANALYSIS.md`` has the migration table for code written
+against the older catalogue front ends.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.compile.compiler import CompiledArtifact, compiler_for_config
+from repro.compile.compiler import CompiledArtifact, global_compiler
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
 from repro.conflicts.index import PatternIndex, StaticProfile, profile_pattern, result_containment
 from repro.conflicts.semantics import ConflictKind, Verdict
@@ -774,7 +774,7 @@ def _worker_init(
         # operand set (string-only transport, so it works under both fork
         # and spawn): every worker starts with the same interned patterns
         # and trunks the parent derived once, instead of re-deriving them
-        # on first touch.  No-op when the config disables compilation.
+        # on first touch.
         for artifact in artifacts:
             detector.compiler.seed(artifact)
     if fault_spec:
@@ -984,14 +984,9 @@ class BatchAnalyzer:
         # detector and (via shipped artifacts) pre-seeded into every pool
         # worker.  A supplied detector's compiler wins so its warm
         # artifacts keep serving.
-        if detector is not None:
-            self._compiler = detector.compiler
-        else:
-            self._compiler = compiler_for_config(
-                self.config.compile_cache,
-                self.config.compile_cache_size,
-                self._metrics,
-            )
+        self._compiler = (
+            detector.compiler if detector is not None else global_compiler()
+        )
         if detector is not None:
             self.cache.absorb_detector(detector)
         self.index = bool(index)
@@ -1256,8 +1251,6 @@ class BatchAnalyzer:
         per-pair decisions (serial or in workers seeded via artifacts) hit
         a warm compile cache from the first query.
         """
-        if not self._compiler.enabled:
-            return
         count = 0
         with obs.span("batch.precompile"):
             for op in operations:
@@ -1715,12 +1708,9 @@ class BatchAnalyzer:
         # Compile the deduped operand set once in the parent and ship the
         # artifacts with the initializer, so every worker (fork or spawn,
         # including post-failure pool rebuilds) starts pre-seeded.
-        artifacts: list[CompiledArtifact] | None = None
-        if self._compiler.enabled:
-            artifacts = [
-                self._compiler.artifact(op_by_key[canon.key])
-                for canon in payload_ops
-            ]
+        artifacts = [
+            self._compiler.artifact(op_by_key[canon.key]) for canon in payload_ops
+        ]
         out: dict[PairKey, tuple[Verdict, str | None]] = {}
         workers_seen: set[int] = set()
         with obs.span("batch.decide_parallel", pairs=len(items), jobs=jobs):

@@ -32,8 +32,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro import obs
-from repro.compile.compiler import PatternCompiler, compiler_for_config
-from repro.compile.intern import InternedPattern
+from repro.compile.compiler import PatternCompiler, global_compiler
 from repro.conflicts.complex import detect_update_update
 from repro.conflicts.general import DEFAULT_EXHAUSTIVE_CAP, decide_conflict
 from repro.conflicts.linear import (
@@ -53,7 +52,7 @@ __all__ = ["ConflictDetector", "DetectorConfig"]
 class DetectorConfig:
     """The :class:`ConflictDetector` constructor knobs as one value.
 
-    Consolidates the six keyword arguments so configurations can be
+    Consolidates the keyword arguments so configurations can be
     stored, compared, and shipped across process boundaries (the batch
     engine sends one to every worker; the dataclass is picklable, unlike
     a detector with its registry lock).  ``ConflictDetector(config=cfg)``
@@ -68,18 +67,6 @@ class DetectorConfig:
     trace: bool = False
     deadline_s: float | None = None
     max_steps: int | None = None
-    compile_cache: bool = True
-    compile_cache_size: int | None = None
-    kernel: str = "bitset"
-
-    def __post_init__(self) -> None:
-        from repro.compile.compiler import KERNELS
-
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown automata kernel {self.kernel!r}; "
-                f"expected one of {KERNELS}"
-            )
 
     def fingerprint(self) -> tuple[str, int | None, bool]:
         """The knobs that can change a *verdict* (cache-key component).
@@ -90,11 +77,7 @@ class DetectorConfig:
         (``deadline_s``/``max_steps``) is also excluded: budget-degraded
         ``UNKNOWN`` verdicts are *never cached* (see :meth:`_cache_put`),
         so every cached answer is budget-independent and caches built
-        under different budgets can safely share entries.  The compile
-        knobs (``compile_cache``/``compile_cache_size``) and the automata
-        ``kernel`` are speed-only — compiled vs uncached and bitset vs
-        sets are all verdict-identical (enforced by the differential and
-        kernel-differential suites) — and are likewise excluded.
+        under different budgets can safely share entries.
         """
         return (self.kind.value, self.exhaustive_cap, self.use_heuristics)
 
@@ -137,27 +120,12 @@ class ConflictDetector:
             ``None`` (the default) imposes no deadline.
         max_steps: per-decision checkpoint allowance; exceeding it
             degrades to ``UNKNOWN`` with ``reason="step_limit"``.
-        compile_cache: consult the compile-once pattern/automaton cache on
-            the linear hot path (default on).  ``False`` forces the
-            uncached reference path — every trunk, NFA, and intersection
-            product is re-derived per query (the differential suite and
-            benchmarks rely on this).
-        compile_cache_size: entries per compile-cache family.  ``None``
-            (the default) shares the process-global compiler; a positive
-            value gives this detector a *private* compiler of that size,
-            reporting ``compile.*`` counters into this detector's
-            registry; ``0`` disables compilation like
-            ``compile_cache=False``.
-        kernel: the automata kernel the matching primitives run on —
-            ``"bitset"`` (default) for the bit-parallel loops of
-            :mod:`repro.automata.bitkernel`, ``"sets"`` for the
-            dict-of-sets reference oracle.  Speed-only: the two kernels
-            produce byte-identical verdicts, witnesses, and discharge
-            reasons (enforced by the kernel-differential suite), so the
-            knob is excluded from :meth:`DetectorConfig.fingerprint`.
-        compiler: an explicit :class:`repro.compile.PatternCompiler` to
-            use, overriding the two knobs above (the batch engine shares
-            one across its per-chunk detectors).
+        compiler: the :class:`repro.compile.PatternCompiler` whose compile
+            cache the decisions run through.  ``None`` (the default)
+            shares :func:`repro.compile.global_compiler`; pass a private
+            one (e.g. ``PatternCompiler(maxsize=64, registry=...)``) to
+            isolate its memos and ``compile.*`` counters.  The batch
+            engine shares one across its per-chunk detectors.
         config: a :class:`DetectorConfig` carrying all the knobs at once;
             when given it overrides the individual keyword arguments.
     """
@@ -173,9 +141,6 @@ class ConflictDetector:
         trace: bool = False,
         deadline_s: float | None = None,
         max_steps: int | None = None,
-        compile_cache: bool = True,
-        compile_cache_size: int | None = None,
-        kernel: str = "bitset",
         compiler: PatternCompiler | None = None,
         config: DetectorConfig | None = None,
     ) -> None:
@@ -188,29 +153,15 @@ class ConflictDetector:
             trace = config.trace
             deadline_s = config.deadline_s
             max_steps = config.max_steps
-            compile_cache = config.compile_cache
-            compile_cache_size = config.compile_cache_size
-            kernel = config.kernel
         self.kind = kind
         self.exhaustive_cap = exhaustive_cap
         self.use_heuristics = use_heuristics
         self.minimize_witnesses = minimize_witnesses
         self.deadline_s = deadline_s
         self.max_steps = max_steps
-        self.compile_cache = compile_cache
-        self.compile_cache_size = compile_cache_size
         self._cache: dict[tuple, ConflictReport] | None = {} if cache else None
         self._metrics = registry if registry is not None else MetricsRegistry()
-        if compiler is not None:
-            # An explicit compiler wins outright; the detector reports the
-            # kernel it actually runs, not the knob it was asked for.
-            self._compiler = compiler
-            kernel = compiler.kernel
-        else:
-            self._compiler = compiler_for_config(
-                compile_cache, compile_cache_size, self._metrics, kernel=kernel
-            )
-        self.kernel = kernel
+        self._compiler = compiler if compiler is not None else global_compiler()
         if trace:
             obs.enable()
 
@@ -231,9 +182,6 @@ class ConflictDetector:
             trace=False,
             deadline_s=self.deadline_s,
             max_steps=self.max_steps,
-            compile_cache=self.compile_cache,
-            compile_cache_size=self.compile_cache_size,
-            kernel=self.kernel,
         )
 
     @property
@@ -500,16 +448,12 @@ class ConflictDetector:
             subtree = (
                 canonical_form(op.subtree) if isinstance(op, Insert) else None
             )
-            # With an enabled compiler, key on the *interned* pattern.
-            # Interned identity is (interner, generation, ident) — a
-            # compile-cache reset bumps the generation and an eviction
-            # never reissues an ident, so a stale detector-cache entry
-            # can only ever miss, never alias a later pattern that
-            # happens to reuse the slot.
-            if self._compiler.enabled:
-                pattern_key = self._compiler.intern(op.pattern)
-            else:
-                pattern_key = op.pattern.canonical_form()
+            # Key on the *interned* pattern.  Interned identity is
+            # (interner, generation, ident) — a compile-cache reset bumps
+            # the generation and an eviction never reissues an ident, so a
+            # stale detector-cache entry can only ever miss, never alias a
+            # later pattern that happens to reuse the slot.
+            pattern_key = self._compiler.intern(op.pattern)
             return (type(op).__name__, pattern_key, subtree)
 
         return (
@@ -535,13 +479,11 @@ class ConflictDetector:
             return
 
         def plain(op_key: tuple) -> tuple:
-            # Internal keys may hold InternedPattern handles; exported
-            # keys are always canonical strings (stable across processes
-            # and compiler generations).
+            # Internal keys hold InternedPattern handles; exported keys are
+            # canonical strings (stable across processes and compiler
+            # generations).
             name, pattern_key, subtree = op_key
-            if isinstance(pattern_key, InternedPattern):
-                pattern_key = pattern_key.key
-            return (name, pattern_key, subtree)
+            return (name, pattern_key.key, subtree)
 
         for key, report in self._cache.items():
             _tag, kind, cap, heuristics, key_a, key_b = key

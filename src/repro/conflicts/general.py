@@ -33,9 +33,9 @@ point may sit at or below a read result (``trunk(U)`` weakly matching
 ``trunk(R)``).  When every one of those linear matching questions is
 empty, ``NO_CONFLICT`` is definitive — turning many small-cap ``UNKNOWN``
 verdicts into exact answers at PTIME cost.  The matching questions run on
-the configured automata kernel via the compile layer
+the bitset kernel via the compile layer
 (:class:`repro.compile.PatternCompiler`), so the branching path shares
-the bitset kernel's mask artifacts with the linear path.
+the linear path's mask artifacts and memoized matching words.
 """
 
 from __future__ import annotations
@@ -256,9 +256,8 @@ def decide_conflict(
             ``UNKNOWN``.
         use_heuristics: try the candidate family first.
         compiler: the :class:`repro.compile.PatternCompiler` the trunk
-            prefilter's linear matching questions memoize in (and whose
-            automata kernel they run on); the process-global compiler by
-            default.
+            prefilter's linear matching questions memoize in; the
+            process-global compiler by default.
 
     Value tests are stripped before searching: the candidate enumeration
     produces element-only trees, so test-carrying patterns would silently
@@ -345,7 +344,7 @@ def _trunk_prefilter_discharges(
     for node in rp.nodes():
         if rp.children(node):
             continue  # inner node: a leaf below it subsumes its chain
-        chain = comp.handle(rp.seq_root_to(node))
+        chain = comp.intern(rp.seq_root_to(node))
         if comp.match(chain, trunk_c, weak=True):
             return False
     if kind is not ConflictKind.NODE:

@@ -19,13 +19,14 @@ The decision procedures follow the paper exactly:
   edge).
 
 Matching is decided by regular-language intersection
-(:mod:`repro.automata.matching`), executed on the automata kernel the
-``compiler`` argument carries — the bit-parallel loops of
-:mod:`repro.automata.bitkernel` by default, the dict-of-sets reference
-under ``DetectorConfig(kernel="sets")``; both kernels return the same
-shortest witness word, which is then grown into a full conflict witness
-tree and **always re-verified** with the Lemma 1 checker before being
-reported.
+(:mod:`repro.automata.matching`) on the bit-parallel kernel of
+:mod:`repro.automata.bitkernel`, behind the ``compiler`` argument's
+compile cache.  Rather than one intersection per read edge, both edge
+scans read every edge's weak/strong flag off one matching profile — the
+dynamic program the paper's REMARK after Theorem 1 suggests.  A
+conflicting edge's shortest matching word is then grown into a full
+conflict witness tree and **always re-verified** with the Lemma 1
+checker before being reported.
 
 Tree conflicts reduce to "node conflict ∨ weak match of the update trunk
 against the whole read" (the REMARKS after Theorems 1 and 2), and for
@@ -72,7 +73,7 @@ def detect_read_delete_linear(
 
     ``compiler`` selects the compile cache consulted for trunks, automata,
     matching words, and the Lemma 3 edge scan; the process-global one by
-    default (pass a disabled compiler to force the uncached path).
+    default.
     """
     comp = compiler if compiler is not None else global_compiler()
     rp = read.pattern
@@ -83,7 +84,7 @@ def detect_read_delete_linear(
         update_size=delete.pattern.size,
         kind=kind.value,
     ):
-        read_c = comp.handle(rp)
+        read_c = comp.intern(rp)
         trunk_c = comp.trunk(delete.pattern)
 
         edge = _read_delete_node_edge(comp, read_c, trunk_c)
@@ -122,36 +123,17 @@ def _read_delete_node_edge(
     rp = comp.as_pattern(read_c)
 
     def scan() -> int | None:
-        spine = rp.spine()
-        if comp.kernel == "bitset":
-            # One packed-fixpoint profile answers every edge's weak/strong
-            # flag at once — the per-pair decision the bitset kernel
-            # accelerates.  ``spine_prefix(read_c, k)`` has ``k + 1``
-            # nodes, so the edge at ``index`` reads profile entry
-            # ``index + 1`` (weak) or ``index + 2`` (strong).
-            strong, weak = comp.matching_profile(trunk_c, read_c)
-            for index in range(len(spine) - 1):
-                axis = rp.axis(spine[index + 1])
-                assert axis is not None
-                if axis is Axis.DESCENDANT:
-                    if index + 1 in weak:
-                        return index
-                elif index + 2 in strong:
+        # One packed-fixpoint profile answers every edge's weak/strong
+        # flag at once.  ``spine_prefix(read_c, k)`` has ``k + 1`` nodes,
+        # so the edge at ``index`` reads profile entry ``index + 1``
+        # (weak) or ``index + 2`` (strong).
+        strong, weak = comp.matching_profile(trunk_c, read_c)
+        for index, lower in enumerate(rp.spine()[1:]):
+            if rp.axis(lower) is Axis.DESCENDANT:
+                if index + 1 in weak:
                     return index
-            return None
-        for index in range(len(spine) - 1):
-            axis = rp.axis(spine[index + 1])
-            assert axis is not None
-            if axis is Axis.DESCENDANT:
-                if comp.match(
-                    trunk_c, comp.spine_prefix(read_c, index), weak=True
-                ):
-                    return index
-            else:
-                if comp.match(
-                    trunk_c, comp.spine_prefix(read_c, index + 1), weak=False
-                ):
-                    return index
+            elif index + 2 in strong:
+                return index
         return None
 
     return comp.edge_scan("read_delete", read_c, trunk_c, scan)
@@ -217,7 +199,7 @@ def detect_read_insert_linear(
         x_size=insert.subtree.size,
         kind=kind.value,
     ):
-        read_c = comp.handle(rp)
+        read_c = comp.intern(rp)
         trunk_c = comp.trunk(insert.pattern)
 
         cut = _find_cut_edge_index(comp, read_c, trunk_c, insert.subtree)
@@ -253,7 +235,7 @@ def find_cut_edge(
     insertion pattern's root-to-output spine; ``x`` is the inserted tree.
     """
     comp = compiler if compiler is not None else global_compiler()
-    index = _find_cut_edge_index(comp, comp.handle(rp), comp.handle(trunk), x)
+    index = _find_cut_edge_index(comp, comp.intern(rp), comp.intern(trunk), x)
     if index is None:
         return None
     spine = rp.spine()
@@ -274,30 +256,13 @@ def _find_cut_edge_index(
     spine = rp.spine()
 
     def scan() -> tuple[bool, ...]:
-        if comp.kernel == "bitset":
-            # Same profile-at-once shortcut as the Lemma 3 scan: edge
-            # ``index`` tests prefix ``index + 1`` against the kernel's
-            # weak or strong set.
-            strong, weak = comp.matching_profile(trunk_c, read_c)
-            flags = []
-            for index in range(len(spine) - 1):
-                axis = rp.axis(spine[index + 1])
-                assert axis is not None
-                sets = weak if axis is Axis.DESCENDANT else strong
-                flags.append(index + 1 in sets)
-            return tuple(flags)
-        flags = []
-        for index in range(len(spine) - 1):
-            axis = rp.axis(spine[index + 1])
-            assert axis is not None
-            flags.append(
-                comp.match(
-                    trunk_c,
-                    comp.spine_prefix(read_c, index),
-                    weak=axis is Axis.DESCENDANT,
-                )
-            )
-        return tuple(flags)
+        # Same profile-at-once scan as Lemma 3: edge ``index`` tests
+        # prefix ``index + 1`` against the weak or strong set.
+        strong, weak = comp.matching_profile(trunk_c, read_c)
+        return tuple(
+            index + 1 in (weak if rp.axis(lower) is Axis.DESCENDANT else strong)
+            for index, lower in enumerate(spine[1:])
+        )
 
     flags = comp.edge_scan("read_insert", read_c, trunk_c, scan)
     for index in range(len(spine) - 1):

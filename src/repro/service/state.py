@@ -3,9 +3,10 @@
 :class:`ServiceState` owns what makes a daemon worth running over a
 subprocess-per-query:
 
-* the **process-global compiler** — every interned pattern, NFA, lazy
-  DFA, and trunk derived for one request serves every later request
-  (``repro.compile``'s 1.94x repeated-catalogue win, kept warm forever);
+* the **process-global compiler** — every interned pattern, bitset mask
+  table, matching word, and trunk derived for one request serves every
+  later request (``repro.compile``'s repeated-catalogue win, kept warm
+  forever);
 * the **persistent verdict cache** — pair verdicts accumulate across
   requests *and* process restarts: loaded (salvaging corruption) on
   boot, snapshotted atomically on a timer and on drain;

@@ -1,8 +1,7 @@
-"""Tests for the unified :func:`repro.analyze` facade and the legacy shims."""
+"""Tests for the unified :func:`repro.analyze` facade."""
 
 from __future__ import annotations
 
-import inspect
 import warnings
 
 import pytest
@@ -11,7 +10,6 @@ import repro
 from repro.conflicts.api import AnalysisConfig, analyze
 from repro.conflicts.batch import BatchAnalyzer, ConflictMatrix
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
-from repro.conflicts.schedule import conflict_matrix, parallel_schedule
 from repro.conflicts.semantics import ConflictKind, Verdict
 from repro.operations.ops import Delete, Insert, Read
 
@@ -95,32 +93,7 @@ class TestAnalyzeFacade:
 
 
 class TestLegacyShims:
-    def test_conflict_matrix_warns_and_agrees(self):
-        with pytest.warns(DeprecationWarning, match="conflict_matrix"):
-            legacy = conflict_matrix(OPERATIONS)
-        modern = analyze(OPERATIONS)
-        for name_a in OPERATIONS:
-            for name_b in OPERATIONS:
-                assert legacy.verdict(name_a, name_b) is modern.verdict(
-                    name_a, name_b
-                )
-
-    def test_parallel_schedule_warns_and_agrees(self):
-        with pytest.warns(DeprecationWarning, match="parallel_schedule"):
-            legacy = parallel_schedule(OPERATIONS)
-        assert legacy == analyze(OPERATIONS, mode="schedule")
-
-    def test_conflict_matrix_signature_parity(self):
-        parameters = inspect.signature(conflict_matrix).parameters
-        assert list(parameters) == ["operations", "detector", "jobs", "cache"]
-        assert parameters["detector"].default is None
-        assert parameters["jobs"].kind is inspect.Parameter.KEYWORD_ONLY
-        assert parameters["cache"].kind is inspect.Parameter.KEYWORD_ONLY
-
-    def test_parallel_schedule_signature_parity(self):
-        parameters = inspect.signature(parallel_schedule).parameters
-        assert list(parameters) == ["operations", "detector", "jobs", "cache"]
-        assert parameters["jobs"].kind is inspect.Parameter.KEYWORD_ONLY
+    """The deprecated catalogue front ends are gone; the facade warns of nothing."""
 
     def test_analyze_emits_no_deprecation_warning(self):
         with warnings.catch_warnings():

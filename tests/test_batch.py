@@ -209,11 +209,11 @@ class TestBatchAnalyzer:
         assert second.metrics()["counters"].get("batch.pairs_unique", 0) == 0
 
     def test_schedule_matches_functional_front(self):
-        from repro.conflicts.schedule import parallel_schedule
+        from repro.conflicts.api import analyze
 
         analyzer = BatchAnalyzer()
         analyzer.analyze(OPERATIONS)
-        assert analyzer.schedule() == parallel_schedule(OPERATIONS)
+        assert analyzer.schedule() == analyze(OPERATIONS, mode="schedule")
 
 
 class TestParallelEquivalence:

@@ -1,22 +1,22 @@
-"""Kernel-differential battery for the bit-parallel automata kernel.
+"""Battery for the bit-parallel automata kernel, the one decision path.
 
 :mod:`repro.automata.bitkernel` re-represents NFA subsets as machine
 integers; correctness rests on the bitset step being *exactly* the set
-step.  This battery pins that down from four directions:
+step of NFA subset simulation.  This battery pins that down from four
+directions:
 
 * **Mask-table soundness** — ``MaskTable.from_pattern`` agrees with
   ``from_nfa(linear_pattern_nfa(...))`` on every symbol, and a hypothesis
   property over *random* NFAs checks ``BitsetAutomaton.step`` against
   subset simulation symbol by symbol.
-* **Decision agreement** — emptiness and joint-shortest-word of the
-  bitset loops equal the eager NFA product, including the exact
-  (length, lex)-least witness word.
+* **Decision agreement** — the joint-shortest-word loop equals the eager
+  NFA product, including the exact (length, lex)-least witness word, and
+  the packed matching profile equals one NFA product per read prefix.
 * **Metamorphic invariants** — relabeling NFA states and swapping
   operand order never flip a verdict.
 * **Boundary + transport** — automata spanning the 63/64/65-state
   machine-word boundaries, payload/pickle round-trips, artifact
-  shipping into spawn pool workers, and the ``DetectorConfig.kernel``
-  knob itself.
+  shipping into spawn pool workers, and budget/fault interaction.
 
 Seeds honor ``REPRO_DIFF_SEED_BASE`` like ``tests/test_differential.py``
 so CI can shift the whole battery into disjoint input regions.
@@ -37,27 +37,20 @@ from repro.automata.bitkernel import (
     BitsetAutomaton,
     MaskTable,
     bitset_matching_profile,
-    intersection_nonempty,
     joint_shortest_word_bits,
-    match_bits,
-    matching_word_bits,
     spine_spec,
 )
 from repro.automata.matching import linear_pattern_nfa, matching_alphabet
 from repro.automata.nfa import NFA
-from repro.compile.compiler import (
-    KERNELS,
-    PatternCompiler,
-    compiler_for_config,
-)
-from repro.conflicts.detector import ConflictDetector, DetectorConfig
-from repro.conflicts.linear_dp import matching_profile
+from repro.compile.compiler import PatternCompiler
+from repro.conflicts.detector import ConflictDetector
 from repro.conflicts.semantics import Verdict
 from repro.errors import BudgetExceeded
 from repro.operations.ops import Delete, Insert, Read
 from repro.patterns.xpath import parse_xpath
 from repro.resilience import faults
 from repro.workloads.generators import random_linear_pattern
+from tests.oracles import nfa_profile
 
 SEED_BASE = int(os.environ.get("REPRO_DIFF_SEED_BASE", "0"))
 ALPHABET = ("a", "b")
@@ -176,9 +169,6 @@ class TestStepSoundness:
         right_auto = BitsetAutomaton(MaskTable.from_nfa(right))
         word = joint_shortest_word_bits(left_auto, right_auto, ALPHABET)
         assert word == reference
-        assert intersection_nonempty(left_auto, right_auto, ALPHABET) == (
-            reference is not None
-        )
 
 
 # ----------------------------------------------------------------------
@@ -206,14 +196,13 @@ class TestMetamorphic:
                     relabeled.add_transition(perm[source], symbol, perm[target])
         other = _random_nfa(rng, rng.randint(1, 6), ALPHABET)
         other_auto = BitsetAutomaton(MaskTable.from_nfa(other))
-        for nfa in (base, relabeled):
-            auto = BitsetAutomaton(MaskTable.from_nfa(nfa))
-            verdict = intersection_nonempty(auto, other_auto, ALPHABET)
-            word = joint_shortest_word_bits(auto, other_auto, ALPHABET)
-            if nfa is base:
-                base_verdict, base_word = verdict, word
-        assert verdict == base_verdict, f"seed {seed}: relabeling flipped verdict"
-        assert word == base_word, f"seed {seed}: relabeling changed the word"
+        base_word, word = (
+            joint_shortest_word_bits(
+                BitsetAutomaton(MaskTable.from_nfa(nfa)), other_auto, ALPHABET
+            )
+            for nfa in (base, relabeled)
+        )
+        assert word == base_word, f"seed {seed}: relabeling changed the verdict"
 
     @pytest.mark.parametrize("seed", range(40))
     def test_operand_order_never_flips_a_verdict(self, seed):
@@ -225,11 +214,12 @@ class TestMetamorphic:
             rng.randint(1, 5), ALPHABET, p_wildcard=0.3, seed=rng
         )
         # Strong matching is intersection of two exact languages — symmetric.
-        assert match_bits(left, right, weak=False) == match_bits(
+        comp = PatternCompiler()
+        assert comp.match(left, right, weak=False) == comp.match(
             right, left, weak=False
         ), f"seed {seed}: operand order flipped the strong verdict"
-        word = matching_word_bits(left, right, weak=False)
-        flipped = matching_word_bits(right, left, weak=False)
+        word = comp.matching_word(left, right, weak=False)
+        flipped = comp.matching_word(right, left, weak=False)
         assert word == flipped, f"seed {seed}: operand order changed the word"
 
 
@@ -269,9 +259,10 @@ class TestWordBoundaries:
         assert table.size == 2 * spine
         assert table.with_any_suffix().size == 2 * spine + 1
         other = parse_xpath("/".join("a" * spine))
-        word = matching_word_bits(pattern, other, weak=False)
+        comp = PatternCompiler()
+        word = comp.matching_word(pattern, other, weak=False)
         assert word == ["a"] * spine
-        assert match_bits(pattern, other, weak=True)
+        assert comp.match(pattern, other, weak=True)
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +273,7 @@ class TestWordBoundaries:
 class TestBitsetProfile:
     @pytest.mark.parametrize("seed", range(120))
     def test_profile_equals_reference_dp(self, seed):
+        """The one-pass profile equals one NFA product per read prefix."""
         rng = _rng(40_000, seed)
         trunk = random_linear_pattern(
             rng.randint(1, 5), ALPHABET, p_wildcard=0.3, seed=rng
@@ -289,9 +281,11 @@ class TestBitsetProfile:
         read = random_linear_pattern(
             rng.randint(1, 5), ALPHABET, p_wildcard=0.3, seed=rng
         )
-        expected = matching_profile(trunk, read)
-        got = bitset_matching_profile(spine_spec(trunk), spine_spec(read))
-        assert got == expected, f"seed {seed}: profiles differ"
+        expected = nfa_profile(trunk, read)
+        strong, weak = bitset_matching_profile(spine_spec(trunk), spine_spec(read))
+        assert (frozenset(strong), frozenset(weak)) == expected, (
+            f"seed {seed}: profiles differ"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -320,10 +314,6 @@ class TestTransport:
         assert MaskTable.from_payload(artifact.mask_payload) == (
             MaskTable.from_pattern(parse_xpath("a//b/c"))
         )
-
-    def test_sets_kernel_artifacts_have_no_mask_payload(self):
-        comp = PatternCompiler(kernel="sets")
-        assert comp.artifact(Read("a//b/c")).mask_payload is None
 
     def test_seed_adopts_shipped_masks(self):
         source = PatternCompiler()
@@ -374,74 +364,12 @@ class TestTransport:
 
 
 # ----------------------------------------------------------------------
-# The kernel knob
-# ----------------------------------------------------------------------
-
-
-class TestKernelKnob:
-    def test_known_kernels(self):
-        assert KERNELS == ("bitset", "sets")
-
-    def test_compiler_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError, match="kernel"):
-            PatternCompiler(kernel="quantum")
-
-    def test_detector_config_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError, match="kernel"):
-            DetectorConfig(kernel="quantum")
-
-    def test_detector_config_round_trips_kernel(self):
-        detector = ConflictDetector(config=DetectorConfig(kernel="sets"))
-        assert detector.kernel == "sets"
-        assert detector.config.kernel == "sets"
-
-    def test_kernel_excluded_from_fingerprint(self):
-        # The kernel is a speed knob with differential-enforced identical
-        # semantics, so caches built under different kernels may share.
-        assert (
-            DetectorConfig(kernel="sets").fingerprint()
-            == DetectorConfig(kernel="bitset").fingerprint()
-        )
-
-    def test_explicit_compiler_wins_over_kernel_arg(self):
-        comp = PatternCompiler(kernel="sets")
-        detector = ConflictDetector(compiler=comp)
-        assert detector.kernel == "sets"
-
-    def test_compiler_for_config_sets_kernel_is_private(self):
-        comp = compiler_for_config(True, 256, kernel="sets")
-        assert comp.kernel == "sets"
-        from repro.compile.compiler import global_compiler
-
-        assert comp is not global_compiler()
-
-    def test_compiler_for_config_bitset_default_is_global(self):
-        from repro.compile.compiler import global_compiler
-
-        assert compiler_for_config(True, None) is global_compiler()
-
-    def test_cli_kernel_flag(self, capsys):
-        from repro.cli import main as cli_main
-
-        argv = ["check", "--read", "*//C", "--insert", "*/B", "--xml", "<C/>"]
-        assert cli_main(argv + ["--kernel", "bitset"]) == 1
-        assert cli_main(argv + ["--kernel", "sets"]) == 1
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_disabled_compiler_honors_kernel(self, kernel):
-        comp = compiler_for_config(False, None, kernel=kernel)
-        assert comp.kernel == kernel
-        assert not comp.enabled
-
-
-# ----------------------------------------------------------------------
 # Kernel x resilience
 # ----------------------------------------------------------------------
 
 
 class TestKernelResilience:
-    """Armed budgets and injected faults behave identically per kernel."""
+    """Armed budgets and injected faults degrade kernel decisions cleanly."""
 
     @pytest.fixture(autouse=True)
     def _clean_faults(self):
@@ -451,18 +379,16 @@ class TestKernelResilience:
 
     PAIR = (Read("a[b]/c"), Delete("a/c"))
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_step_limit_degrades_identically(self, kernel):
-        detector = ConflictDetector(max_steps=1, kernel=kernel)
+    def test_step_limit_degrades(self):
+        detector = ConflictDetector(max_steps=1)
         report = detector.read_delete(*self.PAIR)
         assert report.verdict is Verdict.UNKNOWN
         assert report.reason == "step_limit"
         assert report.degraded
         assert report.method == "budget"
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_deadline_degrades_identically(self, kernel):
-        detector = ConflictDetector(deadline_s=0.0, kernel=kernel)
+    def test_deadline_degrades(self):
+        detector = ConflictDetector(deadline_s=0.0)
         report = detector.read_delete(*self.PAIR)
         assert report.verdict is Verdict.UNKNOWN
         assert report.reason == "timeout"
@@ -472,7 +398,7 @@ class TestKernelResilience:
         run uninterruptible)."""
         with budget_scope(Budget(max_steps=2)):
             with pytest.raises(BudgetExceeded) as info:
-                matching_word_bits(
+                PatternCompiler().matching_word(
                     parse_xpath("a//b//c"),
                     parse_xpath("*//*//*"),
                     weak=True,
@@ -492,11 +418,10 @@ class TestKernelResilience:
                 MaskTable.from_pattern(parse_xpath("a/b/c/d/e"))
         assert "bitkernel.mask_build" in str(info.value)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_slow_decide_fault_fires_identically(self, kernel):
+    def test_slow_decide_fault_fires(self):
         """A ``slow_decide`` stall past the chunk timeout quarantines the
-        poisoned pairs with reason ``timeout`` under both kernels, and
-        every healthy pair still matches the serial reference."""
+        poisoned pairs with reason ``timeout``, and every healthy pair
+        still matches the serial reference."""
         from repro.conflicts.batch import BatchAnalyzer, reference_matrix
 
         ops = {
@@ -513,7 +438,6 @@ class TestKernelResilience:
             )
         )
         analyzer = BatchAnalyzer(
-            DetectorConfig(kernel=kernel),
             jobs=2,
             retries=0,
             chunk_timeout_s=0.75,
@@ -523,12 +447,12 @@ class TestKernelResilience:
         if analyzer.metrics()["counters"].get("batch.pool_failures"):
             pytest.skip("process pool unavailable in this environment")
         degraded = matrix.degraded_pairs()
-        assert degraded, f"kernel={kernel}: slow_decide did not fire"
+        assert degraded, "slow_decide did not fire"
         for first, second, reason in degraded:
             assert "poison" in (first, second)
             assert reason == "timeout"
         for (a, b), verdict in reference.verdicts.items():
             if "poison" not in (a, b):
                 assert matrix.verdicts[(a, b)] is verdict, (
-                    f"kernel={kernel}: healthy pair ({a}, {b}) diverged"
+                    f"healthy pair ({a}, {b}) diverged"
                 )

@@ -4,8 +4,8 @@ Covers the LRU substrate, interning identity rules (monotonic idents,
 generation bumps, per-interner ownership), the compiler's memo families,
 the detector cache-key/generation interplay (the aliasing regression),
 artifact transport to pool workers — including a full batch round-trip
-under ``REPRO_START_METHOD=spawn`` — and the configuration knobs on
-:class:`DetectorConfig` and the CLI.
+under ``REPRO_START_METHOD=spawn`` — and how detectors share or isolate
+a compiler.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ import pickle
 import pytest
 
 from repro.automata.matching import matching_alphabet, matching_word
-from repro.cli import main as cli_main
 from repro.compile import (
     MISS,
     CompiledArtifact,
     LRUCache,
     PatternCompiler,
     PatternInterner,
-    compiler_for_config,
     global_compiler,
     reset_global_compiler,
 )
@@ -33,12 +31,12 @@ from repro.conflicts.batch import (
     reference_matrix,
 )
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
-from repro.conflicts.linear_dp import matching_profile as raw_matching_profile
 from repro.conflicts.semantics import Verdict
 from repro.obs.metrics import MetricsRegistry
 from repro.operations.ops import Delete, Insert, Read
 from repro.patterns.pattern import Axis
 from repro.patterns.xpath import parse_xpath
+from tests.oracles import nfa_profile
 
 
 def pattern(xpath: str):
@@ -183,21 +181,6 @@ class TestPatternInterner:
 
 
 class TestPatternCompiler:
-    def test_disabled_compiler_is_a_passthrough(self):
-        comp = PatternCompiler(enabled=False)
-        p = pattern("a/b//c")
-        assert comp.handle(p) is p
-        assert comp.generation == 0
-        assert comp.stats() == {}
-        comp.reset()  # no-op, must not raise
-        assert comp.trunk(p).canonical_form() == p.trunk().canonical_form()
-        calls = []
-        assert comp.edge_scan("t", p, p, lambda: calls.append(1) or 7) == 7
-        comp.edge_scan("t", p, p, lambda: calls.append(1) or 7)
-        assert len(calls) == 2  # never memoized
-        assert comp.precompile(Read(pattern("a//b"))) is None
-        assert comp.seed(comp.artifact(Delete(pattern("a/b")))) is None
-
     def test_trunk_is_interned_and_memoized(self):
         comp = PatternCompiler()
         p = pattern("a/b[c]/d")
@@ -209,28 +192,27 @@ class TestPatternCompiler:
 
     def test_spine_prefixes_and_suffixes_match_uncached(self):
         comp = PatternCompiler()
-        raw = PatternCompiler(enabled=False)
         p = pattern("a//b/*/c")
-        for index in range(len(p.spine())):
+        spine = p.spine()
+        for index, node in enumerate(spine):
             cached_pre = comp.as_pattern(comp.spine_prefix(p, index))
-            plain_pre = raw.spine_prefix(p, index)
+            plain_pre = p.seq_root_to(node)
             assert cached_pre.canonical_form() == plain_pre.canonical_form()
             cached_suf = comp.as_pattern(comp.spine_suffix(p, index))
-            plain_suf = raw.spine_suffix(p, index)
+            plain_suf = p.seq(node, p.output)
             assert cached_suf.canonical_form() == plain_suf.canonical_form()
 
-    def test_nfa_and_dfa_are_built_once(self):
+    def test_bitset_automata_are_built_once(self):
         comp = PatternCompiler()
         p = pattern("a//b")
-        alphabet = ("a", "b", "z")
-        assert comp.nfa(p, alphabet) is comp.nfa(p, alphabet)
-        strong = comp.dfa(p, alphabet, weak=False)
-        weak = comp.dfa(p, alphabet, weak=True)
-        assert strong is comp.dfa(p, alphabet, weak=False)
-        assert weak is comp.dfa(p, alphabet, weak=True)
+        strong = comp.bitset_automaton(p, weak=False)
+        weak = comp.bitset_automaton(p, weak=True)
+        assert strong is comp.bitset_automaton(p, weak=False)
+        assert weak is comp.bitset_automaton(p, weak=True)
         assert strong is not weak
         assert not strong.accepts(["a", "b", "z"])
         assert weak.accepts(["a", "b", "z"])
+        assert comp.stats()["compile.bitmask"]["size"] == 2
 
     def test_alphabet_matches_matching_alphabet(self):
         comp = PatternCompiler()
@@ -261,11 +243,11 @@ class TestPatternCompiler:
         assert not comp.match(left, right, weak=False)
 
     def test_matching_profile_agrees_with_raw_dp(self):
+        """The memoized one-pass profile equals per-prefix NFA products."""
         comp = PatternCompiler()
         trunk, read = pattern("a/b/c"), pattern("a//c")
-        strong_raw, weak_raw = raw_matching_profile(trunk, read)
         strong, weak = comp.matching_profile(trunk, read)
-        assert strong == frozenset(strong_raw) and weak == frozenset(weak_raw)
+        assert (strong, weak) == nfa_profile(trunk, read)
         assert comp.matching_profile(trunk, read) == (strong, weak)
         assert comp.stats()["compile.profile"]["hits"] == 1
 
@@ -293,9 +275,8 @@ class TestPatternCompiler:
     def test_stats_lists_every_family(self):
         families = set(PatternCompiler().stats())
         assert families == {
-            "compile.intern", "compile.nfa", "compile.dfa", "compile.bitmask",
-            "compile.match", "compile.profile", "compile.derived",
-            "compile.edge",
+            "compile.intern", "compile.bitmask", "compile.match",
+            "compile.profile", "compile.derived", "compile.edge",
         }
 
 
@@ -314,7 +295,6 @@ class TestCompiledArtifacts:
 
         worker = PatternCompiler()
         interned = worker.seed(wire)
-        assert interned is not None
         assert interned.key == artifact.pattern_key
         assert interned.key == parent.intern(op.pattern).key
         # The trunk arrived pre-derived: deriving it now is a cache hit.
@@ -356,36 +336,18 @@ class TestCompiledArtifacts:
         )
         worker = PatternCompiler()
         interned = worker.seed(tampered)
-        assert interned is not None  # the pattern itself still interns
-        # ... but the suspicious trunk was not adopted.
+        # The pattern itself still interns, but the suspicious trunk was
+        # not adopted.
         trunk = worker.trunk(interned)
         assert trunk.key == pattern("a/b").trunk().canonical_form()
 
-    def test_disabled_compiler_still_builds_artifacts(self):
-        comp = PatternCompiler(enabled=False)
-        artifact = comp.artifact(Delete(pattern("a/b")))
-        assert artifact.pattern_key == pattern("a/b").canonical_form()
-        assert artifact.trunk_xpath is not None
-
 
 # ----------------------------------------------------------------------
-# Configuration plumbing: compiler_for_config, detector knobs, CLI
+# Sharing: the global compiler and private per-detector compilers
 # ----------------------------------------------------------------------
 
 
 class TestConfigurationKnobs:
-    def test_compiler_for_config_disabled_paths(self):
-        assert not compiler_for_config(False, None).enabled
-        assert not compiler_for_config(True, 0).enabled
-        assert not compiler_for_config(True, -3).enabled
-
-    def test_compiler_for_config_private_and_global(self):
-        registry = MetricsRegistry()
-        private = compiler_for_config(True, 64, registry)
-        assert private.enabled and private is not global_compiler()
-        assert private.registry is registry
-        assert compiler_for_config(True, None) is global_compiler()
-
     def test_global_compiler_is_a_singleton_until_reset(self):
         first = global_compiler()
         assert global_compiler() is first
@@ -394,36 +356,17 @@ class TestConfigurationKnobs:
         assert global_compiler() is first
         assert first.generation == generation + 1
 
-    def test_detector_config_carries_compile_knobs(self):
-        config = DetectorConfig(compile_cache=False, compile_cache_size=7)
-        detector = config.build()
-        assert not detector.compiler.enabled
-        assert detector.config.compile_cache is False
-        assert detector.config.compile_cache_size == 7
-
-    def test_compile_knobs_do_not_change_the_fingerprint(self):
-        # The compile cache is a speed knob: verdicts are identical either
-        # way, so VerdictCache entries must stay shareable across settings.
-        assert (
-            DetectorConfig(compile_cache=False).fingerprint()
-            == DetectorConfig(compile_cache_size=9).fingerprint()
-            == DetectorConfig().fingerprint()
-        )
-
     def test_detector_private_size_gets_private_compiler(self):
-        detector = ConflictDetector(compile_cache_size=32)
-        assert detector.compiler.enabled
-        assert detector.compiler is not global_compiler()
+        registry = MetricsRegistry()
+        private = PatternCompiler(maxsize=32, registry=registry)
+        detector = ConflictDetector(compiler=private)
+        assert detector.compiler is private
+        assert private is not global_compiler()
+        detector.read_delete(Read(pattern("a//b")), Delete(pattern("a/b")))
+        assert registry.snapshot()["counters"]["compile.intern.misses"] >= 1
 
     def test_detector_default_shares_the_global_compiler(self):
         assert ConflictDetector().compiler is global_compiler()
-
-    def test_cli_compile_cache_size_flag(self, capsys):
-        argv = ["check", "--read", "*//C", "--insert", "*/B", "--xml", "<C/>"]
-        assert cli_main(argv) == 1
-        assert cli_main(argv + ["--compile-cache-size", "64"]) == 1
-        assert cli_main(argv + ["--compile-cache-size", "0"]) == 1
-        capsys.readouterr()
 
 
 # ----------------------------------------------------------------------
@@ -433,13 +376,13 @@ class TestConfigurationKnobs:
 
 class TestDetectorCacheKeyGenerations:
     def test_structurally_equal_queries_share_a_cache_entry(self):
-        detector = ConflictDetector(compile_cache_size=64)
+        detector = ConflictDetector(compiler=PatternCompiler(maxsize=64))
         first = detector.read_delete(Read(pattern("a//b")), Delete(pattern("a/b")))
         again = detector.read_delete(Read(pattern("a//b")), Delete(pattern("a/b")))
         assert first.verdict is again.verdict
         assert detector.cache_hits == 1
 
-    def test_compile_cache_reset_cannot_alias_detector_entries(self):
+    def test_compiler_reset_cannot_alias_detector_entries(self):
         """Regression: interned idents restart after a reset.
 
         Before generations were part of interned identity, pattern pairs
@@ -470,7 +413,7 @@ class TestDetectorCacheKeyGenerations:
         assert recomputed.verdict is Verdict.CONFLICT
 
     def test_cached_entries_export_plain_string_keys(self):
-        detector = ConflictDetector(compile_cache_size=64)
+        detector = ConflictDetector(compiler=PatternCompiler(maxsize=64))
         detector.read_delete(Read(pattern("a//b")), Delete(pattern("a/b")))
         entries = list(detector.cached_entries())
         assert entries
@@ -479,7 +422,7 @@ class TestDetectorCacheKeyGenerations:
             assert isinstance(verdict, Verdict)
 
     def test_verdict_cache_absorbs_compiled_detector(self):
-        detector = ConflictDetector(compile_cache_size=64)
+        detector = ConflictDetector(compiler=PatternCompiler(maxsize=64))
         detector.read_delete(Read(pattern("a//b")), Delete(pattern("a/b")))
         cache = VerdictCache()
         assert cache.absorb_detector(detector) == 1
@@ -524,7 +467,7 @@ class TestSpawnRoundTrip:
 
         reference = reference_matrix(
             SPAWN_OPS,
-            ConflictDetector(exhaustive_cap=4, compile_cache=False),
+            ConflictDetector(exhaustive_cap=4, compiler=PatternCompiler()),
         )
         assert matrix.verdicts == reference.verdicts
         assert len(cache) > 0

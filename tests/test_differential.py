@@ -1,24 +1,21 @@
-"""Differential oracle suite for the compiled decision path.
+"""Differential oracle suite for the engine's one decision path.
 
-The compile-once subsystem (:mod:`repro.compile`) must be semantically
-invisible: interning, automaton reuse, and memoized matching may change
-*when* work happens but never *what* is decided.  This suite pins that down
-with seeded randomized differential tests:
+The linear detectors decide on the bit-parallel kernel behind the
+compile cache (:mod:`repro.compile`).  This suite holds that path to two
+independent oracles with seeded randomized tests:
 
-* **PTIME vs brute force** — the linear read-delete and read-insert
-  detectors (running through a shared, warm :class:`PatternCompiler`) are
-  cross-checked against the embedding-semantics oracle: a reported witness
+* **Brute force** — every seeded case (at least 200 per update
+  semantics) is decided for all three conflict kinds: a reported witness
   must pass the Lemma 1 check, and a NO_CONFLICT verdict must survive
   exhaustive witness search up to a cap that is conclusive for these
-  instance sizes.  At least 200 seeded cases per update semantics, cycling
-  through node/tree/value conflict kinds.
-* **Compiled vs uncached** — every case is also decided with the compiler
-  disabled (the eager-NFA reference path) and by the decision-only DP
-  detectors; all paths must agree.
-* **NFA vs DFA** — the lazily determinized :class:`LazyDFA` must accept
-  exactly the language of its source NFA, for both the strong automaton and
-  its weak (any-suffix) closure, and :func:`joint_shortest_word` must agree
-  with the eager NFA product on emptiness and shortest-word length.
+  instance sizes.
+* **NFA subset simulation** — :class:`tests.oracles.NFAOracleCompiler`
+  reruns the same detectors on the eager NFA product; the reports must be
+  byte-identical (verdict, canonical witness, method), every matching
+  word must equal the product's shortest word exactly, and the
+  automaton-free :func:`match_dp` must agree on every edge.  A cold
+  compiler must also answer exactly like the warm shared one, so the
+  compile cache stays semantically invisible.
 
 Seeds are deterministic.  CI shifts the whole suite into disjoint regions
 of the input space via the ``REPRO_DIFF_SEED_BASE`` environment variable
@@ -32,7 +29,11 @@ import random
 
 import pytest
 
-from repro.automata.dfa import LazyDFA, joint_shortest_word
+from repro.automata.bitkernel import (
+    BitsetAutomaton,
+    MaskTable,
+    joint_shortest_word_bits,
+)
 from repro.automata.matching import (
     linear_pattern_nfa,
     match_dp,
@@ -44,16 +45,19 @@ from repro.conflicts.linear import (
     detect_read_delete_linear,
     detect_read_insert_linear,
 )
-from repro.conflicts.linear_dp import (
-    detect_read_delete_linear_dp,
-    detect_read_insert_linear_dp,
-)
 from repro.conflicts.semantics import ConflictKind, Verdict, is_witness
 from repro.workloads.generators import (
     random_delete,
     random_insert,
     random_linear_pattern,
     random_read,
+)
+from repro.xml.isomorphism import canonical_form
+from tests.oracles import (
+    NFAOracleCompiler,
+    nfa_product_word,
+    per_edge_read_delete,
+    per_edge_read_insert,
 )
 
 SEED_BASE = int(os.environ.get("REPRO_DIFF_SEED_BASE", "0"))
@@ -62,14 +66,11 @@ ALPHABET = ("a", "b")
 SEARCH_CAP = 4
 KINDS = (ConflictKind.NODE, ConflictKind.TREE, ConflictKind.VALUE)
 
-# One warm compiler per kernel for the whole module: repeated patterns
+# One warm production compiler for the whole module: repeated patterns
 # across the seed range exercise real cache hits, which is exactly the
-# path under test.  The bitset kernel is the production default; the sets
-# kernel is the reference oracle it must match byte-for-byte.
-COMPILED = PatternCompiler(kernel="bitset")
-UNCACHED = PatternCompiler(enabled=False, kernel="bitset")
-COMPILED_SETS = PatternCompiler(kernel="sets")
-UNCACHED_SETS = PatternCompiler(enabled=False, kernel="sets")
+# path under test.  The NFA oracle compiler must match it byte for byte.
+COMPILED = PatternCompiler()
+ORACLE = NFAOracleCompiler()
 
 
 def _case_rng(offset: int, seed: int) -> random.Random:
@@ -118,148 +119,96 @@ def _check_against_oracle(report, read, update, kind, seed):
         )
 
 
-class TestReadDeleteDifferential:
-    @pytest.mark.parametrize("seed", range(CASES))
-    def test_compiled_path_vs_bruteforce_oracle(self, seed):
-        read, delete = _read_delete_case(seed)
-        kind = KINDS[seed % len(KINDS)]
-        report = detect_read_delete_linear(read, delete, kind, compiler=COMPILED)
-        _check_against_oracle(report, read, delete, kind, seed)
-
-    @pytest.mark.parametrize("seed", range(CASES))
-    def test_compiled_uncached_and_dp_paths_agree(self, seed):
-        read, delete = _read_delete_case(seed)
-        for kind in KINDS:
-            cached = detect_read_delete_linear(
-                read, delete, kind, compiler=COMPILED
-            )
-            raw = detect_read_delete_linear(
-                read, delete, kind, compiler=UNCACHED
-            )
-            assert cached.verdict is raw.verdict, (
-                f"seed {seed} ({kind.value}): compiled={cached.verdict} "
-                f"uncached={raw.verdict}"
-            )
-            if cached.verdict is Verdict.CONFLICT:
-                assert is_witness(cached.witness, read, delete, kind)
-                assert is_witness(raw.witness, read, delete, kind)
-        node = detect_read_delete_linear(
-            read, delete, ConflictKind.NODE, compiler=COMPILED
-        )
-        assert detect_read_delete_linear_dp(read, delete, compiler=COMPILED) is (
-            node.verdict is Verdict.CONFLICT
-        ), f"seed {seed}: DP decision disagrees with compiled detector"
-
-
-class TestReadInsertDifferential:
-    @pytest.mark.parametrize("seed", range(CASES))
-    def test_compiled_path_vs_bruteforce_oracle(self, seed):
-        read, insert = _read_insert_case(seed)
-        kind = KINDS[seed % len(KINDS)]
-        report = detect_read_insert_linear(read, insert, kind, compiler=COMPILED)
-        _check_against_oracle(report, read, insert, kind, seed)
-
-    @pytest.mark.parametrize("seed", range(CASES))
-    def test_compiled_uncached_and_dp_paths_agree(self, seed):
-        read, insert = _read_insert_case(seed)
-        for kind in KINDS:
-            cached = detect_read_insert_linear(
-                read, insert, kind, compiler=COMPILED
-            )
-            raw = detect_read_insert_linear(
-                read, insert, kind, compiler=UNCACHED
-            )
-            assert cached.verdict is raw.verdict, (
-                f"seed {seed} ({kind.value}): compiled={cached.verdict} "
-                f"uncached={raw.verdict}"
-            )
-            if cached.verdict is Verdict.CONFLICT:
-                assert is_witness(cached.witness, read, insert, kind)
-                assert is_witness(raw.witness, read, insert, kind)
-        node = detect_read_insert_linear(
-            read, insert, ConflictKind.NODE, compiler=COMPILED
-        )
-        assert detect_read_insert_linear_dp(read, insert, compiler=COMPILED) is (
-            node.verdict is Verdict.CONFLICT
-        ), f"seed {seed}: DP decision disagrees with compiled detector"
-
-
 def _report_fingerprint(report):
-    """Everything two kernels must agree on, byte for byte."""
-    from repro.xml.isomorphism import canonical_form
-
+    """Everything two deciders must agree on, byte for byte."""
     witness = (
         canonical_form(report.witness) if report.witness is not None else None
     )
     return (report.verdict, witness, report.method, report.reason)
 
 
-class TestKernelDifferential:
-    """3-way agreement: bitset kernel vs sets kernel vs brute force.
+#: Per update semantics: (case generator, linear detector, per-edge oracle).
+DELETE = (_read_delete_case, detect_read_delete_linear, per_edge_read_delete)
+INSERT = (_read_insert_case, detect_read_insert_linear, per_edge_read_insert)
 
-    The kernel is a speed knob, never a semantics knob: all four compiler
-    configurations (compiled/uncached x bitset/sets) must produce the
-    same verdict, the same canonical witness tree, the same method tag,
-    and the same (absent) degradation reason — and the answer must
-    survive the embedding-semantics brute-force oracle.
-    """
 
-    ALL_COMPILERS = (
-        ("bitset", COMPILED),
-        ("bitset-uncached", UNCACHED),
-        ("sets", COMPILED_SETS),
-        ("sets-uncached", UNCACHED_SETS),
+def _bruteforce(side, seed):
+    case, detect, _ = side
+    read, update = case(seed)
+    for kind in KINDS:
+        report = detect(read, update, kind, compiler=COMPILED)
+        _check_against_oracle(report, read, update, kind, seed)
+
+
+def _warm_cold_and_per_edge(side, seed):
+    """Warm shared cache vs a cold compiler; profile scan vs per edge."""
+    case, detect, per_edge = side
+    read, update = case(seed)
+    cold = PatternCompiler()
+    for kind in KINDS:
+        warm = detect(read, update, kind, compiler=COMPILED)
+        fresh = detect(read, update, kind, compiler=cold)
+        assert _report_fingerprint(warm) == _report_fingerprint(fresh), (
+            f"seed {seed} ({kind.value}): warm and cold compilers differ"
+        )
+    node = detect(read, update, compiler=COMPILED)
+    assert per_edge(read, update) is (node.verdict is Verdict.CONFLICT), (
+        f"seed {seed}: one-pass profile disagrees with the per-edge scan"
     )
+
+
+def _three_way(side, seed):
+    case, detect, per_edge = side
+    read, update = case(seed)
+    for kind in KINDS:
+        kernel = detect(read, update, kind, compiler=COMPILED)
+        oracle = detect(read, update, kind, compiler=ORACLE)
+        assert _report_fingerprint(kernel) == _report_fingerprint(oracle), (
+            f"seed {seed} ({kind.value}): kernel and NFA oracle disagree"
+        )
+    node = detect(read, update, compiler=COMPILED)
+    assert per_edge(read, update, matches=match_dp) is (
+        node.verdict is Verdict.CONFLICT
+    ), f"seed {seed}: match_dp per-edge scan disagrees"
+
+
+class TestReadDeleteDifferential:
+    @pytest.mark.parametrize("seed", range(CASES))
+    def test_compiled_path_vs_bruteforce_oracle(self, seed):
+        _bruteforce(DELETE, seed)
+
+    @pytest.mark.parametrize("seed", range(CASES))
+    def test_compiled_uncached_and_dp_paths_agree(self, seed):
+        _warm_cold_and_per_edge(DELETE, seed)
+
+
+class TestReadInsertDifferential:
+    @pytest.mark.parametrize("seed", range(CASES))
+    def test_compiled_path_vs_bruteforce_oracle(self, seed):
+        _bruteforce(INSERT, seed)
+
+    @pytest.mark.parametrize("seed", range(CASES))
+    def test_compiled_uncached_and_dp_paths_agree(self, seed):
+        _warm_cold_and_per_edge(INSERT, seed)
+
+
+class TestKernelDifferential:
+    """3-way agreement: bitset kernel vs NFA product vs automaton-free DP.
+
+    The NFA oracle compiler rebuilds every report from eager-product
+    words and per-prefix profiles, so the kernel's reports must match it
+    in verdict, canonical witness tree, method tag and (absent)
+    degradation reason; the node verdict must also match a per-edge scan
+    decided by :func:`match_dp`, which builds no automaton at all.
+    """
 
     @pytest.mark.parametrize("seed", range(CASES))
     def test_read_delete_three_way(self, seed):
-        read, delete = _read_delete_case(seed)
-        for kind in KINDS:
-            reports = {
-                name: detect_read_delete_linear(
-                    read, delete, kind, compiler=comp
-                )
-                for name, comp in self.ALL_COMPILERS
-            }
-            prints = {
-                name: _report_fingerprint(r) for name, r in reports.items()
-            }
-            assert len(set(prints.values())) == 1, (
-                f"seed {seed} ({kind.value}): kernels disagree: {prints}"
-            )
-        kind = KINDS[seed % len(KINDS)]
-        _check_against_oracle(
-            detect_read_delete_linear(read, delete, kind, compiler=COMPILED),
-            read,
-            delete,
-            kind,
-            seed,
-        )
+        _three_way(DELETE, seed)
 
     @pytest.mark.parametrize("seed", range(CASES))
     def test_read_insert_three_way(self, seed):
-        read, insert = _read_insert_case(seed)
-        for kind in KINDS:
-            reports = {
-                name: detect_read_insert_linear(
-                    read, insert, kind, compiler=comp
-                )
-                for name, comp in self.ALL_COMPILERS
-            }
-            prints = {
-                name: _report_fingerprint(r) for name, r in reports.items()
-            }
-            assert len(set(prints.values())) == 1, (
-                f"seed {seed} ({kind.value}): kernels disagree: {prints}"
-            )
-        kind = KINDS[seed % len(KINDS)]
-        _check_against_oracle(
-            detect_read_insert_linear(read, insert, kind, compiler=COMPILED),
-            read,
-            insert,
-            kind,
-            seed,
-        )
+        _three_way(INSERT, seed)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_matching_word_identical_across_kernels(self, seed):
@@ -271,20 +220,22 @@ class TestKernelDifferential:
             rng.randint(1, 5), ALPHABET, p_wildcard=0.3, seed=rng
         )
         for weak in (False, True):
-            words = {
-                name: comp.matching_word(left, right, weak=weak)
-                for name, comp in self.ALL_COMPILERS
-            }
-            assert len({tuple(w) if w else w for w in words.values()}) == 1, (
-                f"seed {seed} (weak={weak}): witness words differ: {words}"
-            )
+            expected = nfa_product_word(left, right, weak)
+            for name, comp in (
+                ("warm", COMPILED), ("cold", PatternCompiler()), ("oracle", ORACLE)
+            ):
+                assert comp.matching_word(left, right, weak=weak) == expected, (
+                    f"seed {seed} (weak={weak}): {name} word differs from "
+                    f"the NFA product's {expected!r}"
+                )
 
 
 class TestMatchingEquivalence:
-    """NFA-vs-DFA properties over random linear patterns."""
+    """Production automata vs NFA subset simulation, per random pattern."""
 
     @pytest.mark.parametrize("seed", range(100))
     def test_lazy_dfa_accepts_same_language_as_nfa(self, seed):
+        """The compiler's lazily determinized bitset automata, both sides."""
         rng = _case_rng(600_000, seed)
         pattern = random_linear_pattern(
             rng.randint(1, 5), ALPHABET, p_wildcard=0.3, seed=rng
@@ -294,14 +245,15 @@ class TestMatchingEquivalence:
         )
         alphabet = matching_alphabet(pattern, other)
         strong = linear_pattern_nfa(pattern, alphabet)
-        for nfa in (strong, strong.with_any_suffix()):
-            dfa = LazyDFA(nfa)
+        for weak, nfa in ((False, strong), (True, strong.with_any_suffix())):
+            automaton = COMPILED.bitset_automaton(pattern, weak)
             for _ in range(40):
                 word = [
                     rng.choice(alphabet) for _ in range(rng.randint(0, 7))
                 ]
-                assert nfa.accepts(word) == dfa.accepts(word), (
-                    f"seed {seed}: NFA/DFA disagree on {word!r}"
+                assert nfa.accepts(word) == automaton.accepts(word), (
+                    f"seed {seed} (weak={weak}): NFA and bitset automaton "
+                    f"disagree on {word!r}"
                 )
 
     @pytest.mark.parametrize("seed", range(100))
@@ -314,19 +266,17 @@ class TestMatchingEquivalence:
             rng.randint(1, 4), ALPHABET, p_wildcard=0.3, seed=rng
         )
         weak = rng.random() < 0.5
-        alphabet = matching_alphabet(left, right)
-        left_nfa = linear_pattern_nfa(left, alphabet)
-        right_nfa = linear_pattern_nfa(right, alphabet)
-        if weak:
-            right_nfa = right_nfa.with_any_suffix()
-        reference = left_nfa.intersect(right_nfa).shortest_accepted_word()
-        got = joint_shortest_word(LazyDFA(left_nfa), LazyDFA(right_nfa))
-        if reference is None:
-            assert got is None, f"seed {seed}: DFA product found {got!r}"
-        else:
-            assert got is not None, f"seed {seed}: DFA product missed a word"
-            assert len(got) == len(reference)
-            assert left_nfa.accepts(got) and right_nfa.accepts(got)
+        right_table = MaskTable.from_pattern(right)
+        got = joint_shortest_word_bits(
+            BitsetAutomaton(MaskTable.from_pattern(left)),
+            BitsetAutomaton(right_table.with_any_suffix() if weak else right_table),
+            matching_alphabet(left, right),
+        )
+        reference = nfa_product_word(left, right, weak)
+        assert got == reference, (
+            f"seed {seed} (weak={weak}): kernel word {got!r}, NFA product "
+            f"word {reference!r}"
+        )
 
     @pytest.mark.parametrize("seed", range(100))
     def test_compiled_matching_agrees_with_dp(self, seed):

@@ -1,9 +1,11 @@
-"""Tests for the one-pass DP detectors (the REMARK after Theorem 1).
+"""Tests for the one-pass dynamic program (the REMARK after Theorem 1).
 
-The DP detectors must agree with the per-edge NFA-based algorithms —
-which are themselves cross-validated against exhaustive search — on every
-instance, and the matching profile must agree with the per-prefix
-weak/strong matching primitives.
+The production edge scans of :mod:`repro.conflicts.linear` read every
+read edge's weak/strong flag off one matching profile instead of deciding
+one NFA intersection per edge.  They must agree with the per-edge
+NFA-based algorithms of Lemmas 3 and 6 (:mod:`tests.oracles`) on every
+instance, and the profile must agree with one NFA product per read
+prefix.
 """
 
 from __future__ import annotations
@@ -12,15 +14,10 @@ import random
 
 import pytest
 
-from repro.automata.matching import match_strongly, match_weakly
+from repro.compile.compiler import PatternCompiler
 from repro.conflicts.linear import (
     detect_read_delete_linear,
     detect_read_insert_linear,
-)
-from repro.conflicts.linear_dp import (
-    detect_read_delete_linear_dp,
-    detect_read_insert_linear_dp,
-    matching_profile,
 )
 from repro.conflicts.semantics import Verdict
 from repro.errors import NotLinearError
@@ -31,6 +28,7 @@ from repro.workloads.generators import (
     random_linear_pattern,
 )
 from repro.xml.random_trees import random_tree
+from tests.oracles import nfa_profile, per_edge_read_delete, per_edge_read_insert
 
 ALPHABET = ("a", "b", "c")
 
@@ -41,21 +39,13 @@ class TestMatchingProfile:
         rng = random.Random(seed)
         trunk = random_linear_pattern(rng.randint(1, 4), ALPHABET, seed=rng)
         read = random_linear_pattern(rng.randint(1, 5), ALPHABET, seed=rng)
-        strong, weak = matching_profile(trunk, read)
-        spine = read.spine()
-        for j in range(1, len(spine) + 1):
-            prefix = read.seq_root_to(spine[j - 1])
-            assert (j in strong) == match_strongly(trunk, prefix), (
-                f"seed {seed}, strong prefix {j}"
-            )
-            assert (j in weak) == match_weakly(trunk, prefix), (
-                f"seed {seed}, weak prefix {j}"
-            )
+        profile = PatternCompiler().matching_profile(trunk, read)
+        assert profile == nfa_profile(trunk, read), f"seed {seed}"
 
     def test_profile_known_case(self):
         trunk = parse_xpath("a/b")
         read = parse_xpath("a//c")
-        strong, weak = matching_profile(trunk, read)
+        strong, weak = PatternCompiler().matching_profile(trunk, read)
         # Prefix 'a' (1 node): trunk a/b ends strictly below -> weak only.
         assert 1 in weak and 1 not in strong
         # Prefix 'a//c' (2 nodes): trunk output b cannot be c -> no strong;
@@ -65,7 +55,9 @@ class TestMatchingProfile:
 
     def test_rejects_branching(self):
         with pytest.raises(NotLinearError):
-            matching_profile(parse_xpath("a[b]/c"), parse_xpath("a/b"))
+            PatternCompiler().matching_profile(
+                parse_xpath("a[b]/c"), parse_xpath("a/b")
+            )
 
 
 class TestAgreementWithNFAAlgorithms:
@@ -80,10 +72,10 @@ class TestAgreementWithNFAAlgorithms:
             if rng.random() < 0.5
             else random_linear_pattern(rng.randint(2, 4), ALPHABET, seed=rng)
         )
-        nfa_answer = (
+        dp_answer = (
             detect_read_delete_linear(read, delete).verdict is Verdict.CONFLICT
         )
-        dp_answer = detect_read_delete_linear_dp(read, delete)
+        nfa_answer = per_edge_read_delete(read, delete)
         assert nfa_answer == dp_answer, f"seed {seed}"
 
     @pytest.mark.parametrize("seed", range(80))
@@ -96,10 +88,10 @@ class TestAgreementWithNFAAlgorithms:
             else random_linear_pattern(rng.randint(1, 3), ALPHABET, seed=rng)
         )
         insert = Insert(pattern, random_tree(rng.randint(1, 3), ALPHABET, seed=rng))
-        nfa_answer = (
+        dp_answer = (
             detect_read_insert_linear(read, insert).verdict is Verdict.CONFLICT
         )
-        dp_answer = detect_read_insert_linear_dp(read, insert)
+        nfa_answer = per_edge_read_insert(read, insert)
         assert nfa_answer == dp_answer, f"seed {seed}"
 
     @pytest.mark.parametrize(
@@ -113,7 +105,8 @@ class TestAgreementWithNFAAlgorithms:
         ],
     )
     def test_read_delete_known(self, read, delete, expected):
-        assert detect_read_delete_linear_dp(Read(read), Delete(delete)) is expected
+        """The per-edge oracle itself answers the paper's known cases."""
+        assert per_edge_read_delete(Read(read), Delete(delete)) is expected
 
     @pytest.mark.parametrize(
         "read,insert,x,expected",
@@ -125,6 +118,5 @@ class TestAgreementWithNFAAlgorithms:
         ],
     )
     def test_read_insert_known(self, read, insert, x, expected):
-        assert (
-            detect_read_insert_linear_dp(Read(read), Insert(insert, x)) is expected
-        )
+        """The per-edge oracle itself answers the paper's known cases."""
+        assert per_edge_read_insert(Read(read), Insert(insert, x)) is expected

@@ -349,10 +349,12 @@ class TestDetectorInstrumentation:
         assert "embedding.evaluations" not in counters
 
     def test_nfa_counters(self):
-        # The sets kernel is the path that builds explicit NFAs.
+        # Explicit NFAs are built only by the subset-simulation test oracle.
+        from repro.patterns.xpath import parse_xpath
+        from tests.oracles import nfa_product_word
+
         with obs.tracing():
-            detector = ConflictDetector(cache=False, kernel="sets")
-            detector.read_delete(Read("a//b"), Delete("a/b"))
+            nfa_product_word(parse_xpath("a//b"), parse_xpath("a/b"), weak=True)
         counters = obs.global_metrics().snapshot()["counters"]
         assert counters.get("nfa.built", 0) >= 1
         assert counters.get("nfa.states_built", 0) >= counters["nfa.built"]

@@ -30,7 +30,6 @@ from repro.conflicts.batch import (
     reference_matrix,
 )
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
-from repro.conflicts.schedule import conflict_matrix, parallel_schedule
 from repro.conflicts.semantics import Verdict
 from repro.errors import (
     CacheCorrupt,
@@ -591,11 +590,13 @@ class TestCacheDurability:
         assert len(loaded) < len(cache)
 
 
+def step_limited_matrix(ops):
+    return BatchAnalyzer(detector=ConflictDetector(max_steps=1)).analyze(ops)
+
+
 class TestUnknownPropagation:
     def test_reason_flows_through_matrix_api(self):
-        matrix = conflict_matrix(
-            small_catalogue(), ConflictDetector(max_steps=1)
-        )
+        matrix = step_limited_matrix(small_catalogue())
         assert matrix.counts()["unknown"] >= len(matrix.reasons) > 0
         payload = matrix.to_dict()
         assert payload["stats"]["degraded"] == len(matrix.reasons)
@@ -611,20 +612,20 @@ class TestUnknownPropagation:
 
     def test_degraded_pairs_schedule_conservatively(self):
         ops = small_catalogue()
-        batches = parallel_schedule(ops, ConflictDetector(max_steps=1))
+        analyzer = BatchAnalyzer(detector=ConflictDetector(max_steps=1))
+        analyzer.analyze(ops)
+        batches = analyzer.schedule()
         placed = {name for batch in batches for name in batch}
         assert placed == set(ops)
         # Degraded (UNKNOWN) pairs must never share a batch.
-        matrix = conflict_matrix(ops, ConflictDetector(max_steps=1))
+        matrix = step_limited_matrix(ops)
         for batch in batches:
             for i, a in enumerate(batch):
                 for b in batch[i + 1:]:
                     assert matrix.verdict(a, b) is Verdict.NO_CONFLICT
 
     def test_matrix_reason_is_symmetric(self):
-        matrix = conflict_matrix(
-            small_catalogue(), ConflictDetector(max_steps=1)
-        )
+        matrix = step_limited_matrix(small_catalogue())
         (a, b), reason = next(iter(matrix.reasons.items()))
         assert matrix.reason(a, b) == reason
         assert matrix.reason(b, a) == reason
