@@ -49,6 +49,7 @@ from collections.abc import Sequence
 
 from repro.patterns.pattern import WILDCARD, Axis, TreePattern
 from repro.resilience.budget import checkpoint
+from repro.xml.tree import NodeId, XMLTree
 
 __all__ = [
     "MaskTable",
@@ -201,8 +202,11 @@ class MaskTable:
     # Rows and transport
     # ------------------------------------------------------------------
 
-    def rows(self, symbol: str) -> tuple[int, ...]:
-        """The per-state target masks under one concrete symbol."""
+    def rows(self, symbol: str | None) -> tuple[int, ...]:
+        """The per-state target masks under one concrete symbol.
+
+        ``None``, or any symbol without a label row, gets ``any_rows``.
+        """
         labeled = self.label_rows.get(symbol)
         if not labeled:
             return self.any_rows
@@ -268,18 +272,22 @@ class BitsetAutomaton:
         self.table = table
         self.start_mask = 1 << table.start
         self.accepting = table.accepting
-        self._rows: dict[str, tuple[int, ...]] = {}
-        self._steps: dict[tuple[int, str], int] = {}
+        self._rows: dict[str | None, tuple[int, ...]] = {}
+        self._steps: dict[tuple[int, str | None], int] = {}
 
-    def rows(self, symbol: str) -> tuple[int, ...]:
+    def rows(self, symbol: str | None) -> tuple[int, ...]:
         rows = self._rows.get(symbol)
         if rows is None:
             rows = self.table.rows(symbol)
             self._rows[symbol] = rows
         return rows
 
-    def step(self, subset: int, symbol: str) -> int:
-        """The successor subset (``0`` is the dead state)."""
+    def step(self, subset: int, symbol: str | None) -> int:
+        """The successor subset (``0`` is the dead state).
+
+        ``symbol=None`` steps on the any-symbol rows alone, which is the
+        step of every symbol without a label row of its own.
+        """
         key = (subset, symbol)
         cached = self._steps.get(key)
         if cached is not None:
@@ -302,6 +310,35 @@ class BitsetAutomaton:
             if not subset:
                 return False
         return bool(subset & self.accepting)
+
+    def select(self, tree: XMLTree) -> set[NodeId]:
+        """The nodes of ``tree`` whose root-to-node label path is accepted.
+
+        For the strong-side automaton of a linear pattern ``p`` without
+        value tests this is ``[[p]](t)``: an embedding of a linear pattern
+        is exactly a root-to-node path spelling a word of ``L(p)``.  One
+        top-down walk (:meth:`XMLTree.fold_paths`) gives each node the
+        subset ``step(parent_subset, label)``, selects it when the subset
+        meets the accepting mask and skips its subtree when the subset is
+        empty, so the cost is one memoized step per visited node.  Labels
+        without a row of their own (document text, fresh witness labels)
+        all step as ``None``, which keeps the step memo bounded by the
+        pattern's labels rather than the documents'.
+        """
+        label_rows = self.table.label_rows
+        steps = self._steps
+
+        def advance(subset: int, label: str) -> int:
+            key = (subset, label if label in label_rows else None)
+            below = steps.get(key)
+            return self.step(*key) if below is None else below
+
+        accepting = self.accepting
+        return {
+            node
+            for node, subset in tree.fold_paths(self.start_mask, advance)
+            if subset & accepting
+        }
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Pattern canonicalization and interning.
 
 :class:`~repro.patterns.pattern.TreePattern` is mutable and hashes by
-recomputing its canonical form, so it makes a poor memo key: every cache
-lookup keyed on a raw pattern re-serializes the whole tree.  The interner
-fixes that by mapping each *canonical form* to one immutable-by-contract
+its canonical form, a string as long as the pattern (memoized until the
+next mutation), so it makes a poor memo key: every lookup hashes and
+compares that string, and a caller mutating the pattern afterwards
+would silently re-key the entry.  The interner fixes that by mapping
+each *canonical form* to one immutable-by-contract
 :class:`InternedPattern` whose identity is the triple
 ``(interner, generation, ident)`` — which hashes in constant time.
 

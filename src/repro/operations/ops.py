@@ -96,9 +96,12 @@ class Insert:
     def apply_in_place(self, tree: XMLTree) -> UpdateResult:
         """Mutating application, per the imperative semantics."""
         points = evaluate(self.pattern, tree)
+        # ``X`` may be the target tree itself; every point then receives a
+        # copy of the pre-update ``X``, as in the pure :meth:`apply`.
+        subtree = self.subtree.copy() if self.subtree is tree else self.subtree
         inserted: set[NodeId] = set()
         for point in sorted(points):
-            mapping = tree.graft(point, self.subtree)
+            mapping = tree.graft(point, subtree)
             inserted.update(mapping.values())
         dirty = _upward_closure(tree, points)
         return UpdateResult(

@@ -9,8 +9,11 @@ child/proper-descendant tree pairs.  The evaluation of ``p`` on ``t`` is::
 
 This module implements evaluation in ``O(|p| * |t|)`` — matching the
 paper's remark that the fragment lies inside Core XPath, which Gottlob,
-Koch & Pichler showed evaluable in time linear in ``|p| * |t|``.  The
-algorithm is two-phase:
+Koch & Pichler showed evaluable in time linear in ``|p| * |t|``.  A
+linear pattern without value tests is evaluated by one top-down walk of
+its compiled bitset automaton, one memoized step per visited tree node
+(:func:`evaluate`).  Every other pattern takes the two-phase set-based
+evaluator (:func:`evaluate_sets`):
 
 1. **Bottom-up matching.**  For every pattern node ``n``, compute
    ``match[n]`` — the tree nodes ``v`` such that the subpattern rooted at
@@ -150,12 +153,30 @@ def _spine_ok_sets(
 
 
 def evaluate(pattern: TreePattern, tree: XMLTree) -> set[NodeId]:
-    """``[[p]](t)`` — the set of tree nodes selected by the pattern."""
+    """``[[p]](t)`` — the set of tree nodes selected by the pattern.
+
+    A linear pattern without value tests selects exactly the nodes whose
+    root-to-node label path lies in ``L(p)``, so it is answered by one
+    top-down walk of its compiled automaton
+    (:meth:`repro.automata.bitkernel.BitsetAutomaton.select`, looked up in
+    the process-wide compiler).  Branching patterns and patterns with
+    value tests take the set-based evaluator, :func:`evaluate_sets`.
+    """
     # Counter only, no span, and gated: evaluations run thousands of
     # times per exhaustive search, so the instrument only ticks while
     # observability is switched on.
     if obs_enabled():
         global_metrics().inc("embedding.evaluations")
+    if pattern.is_linear and not pattern.has_value_tests():
+        # Imported here: repro.compile imports this package.
+        from repro.compile.compiler import global_compiler
+
+        return global_compiler().bitset_automaton(pattern, weak=False).select(tree)
+    return evaluate_sets(pattern, tree)
+
+
+def evaluate_sets(pattern: TreePattern, tree: XMLTree) -> set[NodeId]:
+    """``[[p]](t)`` by the two-phase set-based evaluator, for any pattern."""
     match = match_sets(pattern, tree)
     layers = _spine_ok_sets(pattern, tree, match)
     current: set[NodeId] = set()

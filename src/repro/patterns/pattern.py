@@ -28,6 +28,7 @@ honored by evaluation and by the update operations; the conflict engine
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -77,6 +78,8 @@ class ValueTest:
     def __post_init__(self) -> None:
         if self.op not in self._OPS:
             raise PatternError(f"unknown comparison operator {self.op!r}")
+        if not math.isfinite(self.value):
+            raise PatternError(f"comparison constant {self.value!r} is not finite")
 
     def holds(self, text_value: float) -> bool:
         """Evaluate the comparison against a numeric text value."""
@@ -116,6 +119,8 @@ class TreePattern:
         self._root: PNodeId = 0
         self._output: PNodeId = 0
         self._next_id: PNodeId = 1
+        # Memoized whole-pattern canonical form; every mutator clears it.
+        self._canonical: str | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -128,16 +133,19 @@ class TreePattern:
         self._next_id += 1
         self._nodes[node] = _PNode(label, parent, axis)
         record.children.append(node)
+        self._canonical = None
         return node
 
     def set_output(self, node: PNodeId) -> None:
         """Mark ``node`` as the output node ``O(p)``."""
         self._get(node)
         self._output = node
+        self._canonical = None
 
     def set_value_test(self, node: PNodeId, test: ValueTest | None) -> None:
         """Attach (or clear) a value test on ``node``."""
         self._get(node).value_test = test
+        self._canonical = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -440,6 +448,7 @@ class TreePattern:
         clone._root = self._root
         clone._output = self._output
         clone._next_id = self._next_id
+        clone._canonical = self._canonical
         return clone
 
     def strip_value_tests(self) -> "TreePattern":
@@ -485,9 +494,17 @@ class TreePattern:
 
         Encodes labels, axes, value tests and the position of the output
         node, so two patterns have the same form exactly when they are
-        isomorphic as output-marked patterns.
+        isomorphic as output-marked patterns.  The whole-pattern form is
+        memoized (the mutators clear it), so hashing, equality and
+        interning cost O(1) on a pattern that is reused unchanged.
         """
-        node = self._root if node is None else node
+        if node is None or node == self._root:
+            if self._canonical is None:
+                self._canonical = self._encode(self._root)
+            return self._canonical
+        return self._encode(node)
+
+    def _encode(self, node: PNodeId) -> str:
         codes: dict[PNodeId, str] = {}
         for current in self.postorder(node):
             rec = self._nodes[current]

@@ -29,6 +29,8 @@ example.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import XPathSyntaxError
 from repro.patterns.pattern import WILDCARD, Axis, PNodeId, TreePattern, ValueTest
 
@@ -83,9 +85,12 @@ class _Cursor:
             self.pos += 1
         token = self.text[start:self.pos]
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             raise XPathSyntaxError(f"expected a number, got {token!r}", start) from None
+        if not math.isfinite(value):
+            raise XPathSyntaxError(f"number {token[:20]!r}... is out of range", start)
+        return value
 
 
 def parse_xpath(text: str) -> TreePattern:

@@ -18,8 +18,9 @@ the invariants checked by :meth:`XMLTree.validate`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from repro.errors import NodeNotFoundError, TreeStructureError
 
@@ -28,6 +29,9 @@ __all__ = ["XMLTree", "NodeId", "build_tree"]
 #: Node identifier type.  Ids are small non-negative integers, unique within
 #: a tree (and preserved across :meth:`XMLTree.copy`).
 NodeId = int
+
+#: The value :meth:`XMLTree.fold_paths` threads down root-to-node paths.
+S = TypeVar("S")
 
 
 @dataclass
@@ -181,6 +185,32 @@ class XMLTree:
             stack.extend((c, d + 1) for c in self._nodes[node].children)
         return best
 
+    def fold_paths(
+        self, initial: S, step: Callable[[S, str], S]
+    ) -> Iterator[tuple[NodeId, S]]:
+        """Fold ``step`` down every root-to-node label path, top-down.
+
+        A node's value is ``step(parent_value, label)``, starting from
+        ``step(initial, root_label)``.  Yields ``(node, value)`` for every
+        node whose value is truthy; a falsy value prunes the node's whole
+        subtree.  Each visited node costs one ``step`` call, so a
+        path-language matcher (an automaton stepping subsets, with the
+        empty subset falsy) evaluates in one pass over the live part of
+        the tree.
+        """
+        nodes = self._nodes
+        value = step(initial, nodes[self._root].label)
+        if not value:
+            return
+        stack = [(self._root, value)]
+        while stack:
+            node, value = stack.pop()
+            yield node, value
+            for child in nodes[node].children:
+                below = step(value, nodes[child].label)
+                if below:
+                    stack.append((child, below))
+
     def path_from_root(self, node: NodeId) -> list[NodeId]:
         """The node ids on the path from the root to ``node``, inclusive."""
         path = list(self.ancestors(node, include_self=True))
@@ -220,9 +250,12 @@ class XMLTree:
         This is the primitive behind the paper's ``INSERT`` operation: the
         copy receives **fresh node ids**, disjoint from every id already in
         this tree.  Returns the mapping from ids in ``subtree`` to the fresh
-        ids in this tree.
+        ids in this tree.  Grafting a tree into itself copies a snapshot
+        taken before the first new node is added.
         """
         self._get(parent)
+        if subtree is self:
+            subtree = self.copy()
         mapping: dict[NodeId, NodeId] = {}
         for old in subtree.preorder():
             target = parent if old == subtree.root else mapping[subtree.parent(old)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 
 import pytest
 
@@ -21,6 +22,25 @@ def _cold_global_compiler():
     """
     reset_global_compiler()
     yield
+
+
+@pytest.fixture
+def prompt():
+    """Fail, instead of hang, a test whose calls must return promptly.
+
+    Arms a 2 s real-time alarm that raises :class:`TimeoutError` inside
+    the test, so a runaway loop (which would also grow memory without
+    bound) ends as an ordinary failure.
+    """
+
+    def expire(signum, frame):  # type: ignore[no-untyped-def]
+        raise TimeoutError("the call did not return within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from repro.conflicts.api import AnalysisConfig, analyze
 from repro.conflicts.batch import BatchAnalyzer, ConflictMatrix
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
 from repro.conflicts.semantics import ConflictKind, Verdict
+from repro.errors import ReproError
 from repro.operations.ops import Delete, Insert, Read
 
 OPERATIONS = {
@@ -90,6 +91,14 @@ class TestAnalyzeFacade:
         analyzer = AnalysisConfig(jobs=1).analyzer()
         assert isinstance(analyzer, BatchAnalyzer)
         assert analyzer.jobs == 1
+
+
+    def test_overflowing_value_test_is_a_repro_error(self):
+        with pytest.raises(ReproError, match="out of range"):
+            analyze({
+                "cheap": Read(f"shop/item[price < 1{'0' * 400}]"),
+                "purge": Delete("shop/item"),
+            })
 
 
 class TestLegacyShims:

@@ -50,6 +50,8 @@ from repro.operations.ops import Delete, Insert, Read
 from repro.patterns.xpath import parse_xpath
 from repro.resilience import faults
 from repro.workloads.generators import random_linear_pattern
+from repro.xml.random_trees import random_tree
+from repro.xml.tree import build_tree
 from tests.oracles import nfa_profile
 
 SEED_BASE = int(os.environ.get("REPRO_DIFF_SEED_BASE", "0"))
@@ -120,6 +122,53 @@ class TestMaskConstruction:
     def test_rows_falls_back_to_any_rows_for_unknown_label(self):
         table = MaskTable.from_pattern(parse_xpath("a//b"))
         assert table.rows("zzz") == table.any_rows
+        assert table.rows(None) == table.any_rows
+
+
+# ----------------------------------------------------------------------
+# The document walk == subset simulation on every root-to-node path
+# ----------------------------------------------------------------------
+
+
+class TestSelectWalk:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_select_equals_nfa_on_every_path(self, seed):
+        """A node is selected iff the NFA accepts its root-to-node labels."""
+        rng = _rng(9_000, seed)
+        pattern = random_linear_pattern(
+            rng.randint(1, 6), ALPHABET, p_wildcard=0.3, p_descendant=0.5,
+            seed=rng,
+        )
+        tree = random_tree(rng.randint(1, 40), (*ALPHABET, "c"), seed=rng)
+        alphabet = tuple(sorted(tree.labels() | pattern.labels()))
+        nfa = linear_pattern_nfa(pattern, alphabet)
+        selected = BitsetAutomaton(MaskTable.from_pattern(pattern)).select(tree)
+        for node in tree.nodes():
+            assert (node in selected) == nfa.accepts(tree.path_labels(node)), (
+                f"seed {seed}: node {node} on {tree.path_labels(node)}"
+            )
+
+    def test_dead_subtrees_are_not_visited(self):
+        """Once the subset is empty the walk skips the whole subtree."""
+        tree = build_tree(("a", ("x", ("b", "b")), ("b", "b")))
+        stepped: list[tuple[int, str | None]] = []
+        auto = BitsetAutomaton(MaskTable.from_pattern(parse_xpath("a/b/b")))
+        step = auto.step
+
+        def spy(subset, symbol):
+            stepped.append((subset, symbol))
+            return step(subset, symbol)
+
+        auto.step = spy  # every memo miss goes through step
+        assert len(auto.select(tree)) == 1
+        assert (auto.start_mask, "a") in stepped
+        assert all(subset for subset, _ in stepped)  # never from the dead state
+
+    def test_foreign_labels_share_one_memo_entry(self):
+        auto = BitsetAutomaton(MaskTable.from_pattern(parse_xpath("a//b")))
+        tree = build_tree(("a", *(f"#text:{i}" for i in range(50)), ("b",)))
+        assert auto.select(tree) == {tree.size - 1}
+        assert {symbol for _, symbol in auto._steps} == {"a", "b", None}
 
 
 # ----------------------------------------------------------------------

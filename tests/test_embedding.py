@@ -1,29 +1,74 @@
 """Unit tests for embedding evaluation (:mod:`repro.patterns.embedding`).
 
-Includes a brute-force cross-validation: the efficient two-phase evaluator
-must agree with exhaustive embedding enumeration on randomized instances.
+Includes a brute-force cross-validation: both evaluator paths — the
+bitset-automaton walk for linear patterns without value tests and the
+two-phase set-based evaluator for everything else — must agree with each
+other and with exhaustive embedding enumeration on randomized instances.
+Seeds honor ``REPRO_DIFF_SEED_BASE`` like ``tests/test_differential.py``.
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 
+from repro.automata.bitkernel import BitsetAutomaton
+from repro.compile.compiler import global_compiler
+from repro.patterns import embedding
 from repro.patterns.embedding import (
     embeds,
     embeds_at,
     enumerate_embeddings,
     evaluate,
     evaluate_bruteforce,
+    evaluate_sets,
     evaluate_subtrees,
     find_embedding,
     match_sets,
 )
-from repro.patterns.xpath import parse_xpath
-from repro.workloads.generators import random_branching_pattern, random_linear_pattern
+from repro.patterns.pattern import WILDCARD, Axis, TreePattern, ValueTest
+from repro.patterns.xpath import parse_xpath, to_xpath
+from repro.workloads.generators import random_branching_pattern
 from repro.xml.random_trees import random_tree
-from repro.xml.tree import build_tree
+from repro.xml.tree import XMLTree, build_tree
+
+SEED_BASE = int(os.environ.get("REPRO_DIFF_SEED_BASE", "0"))
+
+#: Tree labels; the pattern alphabet adds ``d`` (never in a tree) and a
+#: text label that matches some of the text children.
+TREE_LABELS = ("a", "b", "c")
+PATTERN_LABELS = (*TREE_LABELS, "d", "#text:1")
+LINEAR_CASES = 240
+
+
+def _linear_case(seed: int) -> tuple[TreePattern, XMLTree]:
+    """One seeded (linear pattern, tree) pair for the kernel walk.
+
+    Every fourth tree is a single node; the rest have up to 12 nodes
+    (small enough for brute force) or up to 60.  Text children hang under
+    random nodes, and patterns mix wildcards, child steps and ``//`` steps.
+    """
+    rng = random.Random(1_000_003 * SEED_BASE + 40_000 + seed)
+    if seed % 4 == 0:
+        size = 1
+    else:
+        size = rng.randint(2, 12 if seed % 4 == 1 else 60)
+    tree = random_tree(size, TREE_LABELS, seed=rng)
+    for node in rng.sample(list(tree.nodes()), rng.randint(0, min(3, size))):
+        tree.add_child(node, f"#text:{rng.randint(0, 2)}")
+
+    def pick() -> str:
+        return WILDCARD if rng.random() < 0.3 else rng.choice(PATTERN_LABELS)
+
+    pattern = TreePattern(pick())
+    node = pattern.root
+    for _ in range(rng.randint(0, 5)):
+        axis = Axis.DESCENDANT if rng.random() < 0.5 else Axis.CHILD
+        node = pattern.add_child(node, pick(), axis)
+    pattern.set_output(node)
+    return pattern, tree
 
 
 class TestEvaluateBasics:
@@ -179,12 +224,44 @@ class TestEnumerateEmbeddings:
 class TestCrossValidation:
     """The efficient evaluator must agree with brute-force enumeration."""
 
-    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("seed", range(LINEAR_CASES))
     def test_linear_patterns_random(self, seed):
-        rng = random.Random(seed)
-        t = random_tree(rng.randint(1, 12), ("a", "b", "c"), seed=rng)
-        p = random_linear_pattern(rng.randint(1, 4), ("a", "b", "c"), seed=rng)
-        assert evaluate(p, t) == evaluate_bruteforce(p, t), f"seed {seed}"
+        p, t = _linear_case(seed)
+        got = evaluate(p, t)
+        assert got == evaluate_sets(p, t), f"seed {seed}: {to_xpath(p)}"
+        if t.size <= 12:
+            assert got == evaluate_bruteforce(p, t), f"seed {seed}: {to_xpath(p)}"
+
+    def test_linear_cases_cover_every_shape(self):
+        """The seeded cases reach every shape the kernel walk must handle."""
+        seen: set[str] = set()
+        for seed in range(LINEAR_CASES):
+            p, t = _linear_case(seed)
+            spine = p.spine()
+            axes = [p.axis(node) for node in spine[1:]]
+            if p.is_wildcard(p.root):
+                seen.add("wildcard root")
+            if any(p.is_wildcard(node) for node in spine[1:]):
+                seen.add("wildcard step")
+            if any(
+                a is b is Axis.DESCENDANT for a, b in zip(axes, axes[1:])
+            ):
+                seen.add("// chain")
+            if any(label.startswith("#text:") for label in t.labels()):
+                seen.add("text children")
+            if t.size == 1:
+                seen.add("one-node tree")
+            if p.labels() - t.labels():
+                seen.add("label absent from tree")
+            if t.size >= 50:
+                seen.add("large tree")
+            if evaluate(p, t):
+                seen.add("non-empty result")
+        assert seen == {
+            "wildcard root", "wildcard step", "// chain", "text children",
+            "one-node tree", "label absent from tree", "large tree",
+            "non-empty result",
+        }
 
     @pytest.mark.parametrize("seed", range(30))
     def test_branching_patterns_random(self, seed):
@@ -194,6 +271,85 @@ class TestCrossValidation:
             rng.randint(1, 5), ("a", "b"), seed=rng, output="any"
         )
         assert evaluate(p, t) == evaluate_bruteforce(p, t), f"seed {seed}"
+
+
+class TestEvaluatorPaths:
+    """Which evaluator answers, and what the canonical-form memo must
+    forget when a pattern changes after it has been evaluated."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen: list[str] = []
+        select, sets = BitsetAutomaton.select, embedding.evaluate_sets
+
+        def counted_select(automaton, tree):
+            seen.append("kernel")
+            return select(automaton, tree)
+
+        def counted_sets(pattern, tree):
+            seen.append("sets")
+            return sets(pattern, tree)
+
+        monkeypatch.setattr(BitsetAutomaton, "select", counted_select)
+        monkeypatch.setattr(embedding, "evaluate_sets", counted_sets)
+        return seen
+
+    def test_dispatch(self, calls):
+        t = build_tree(("a", ("b", "c", "#text:5"), "b"))
+        tested = parse_xpath("a/b")
+        tested.set_value_test(tested.output, ValueTest("<", 10))
+        evaluate(parse_xpath("a//c"), t)
+        evaluate(parse_xpath("a/b[c]"), t)
+        evaluate(tested, t)
+        assert calls == ["kernel", "sets", "sets"]
+
+    #: Each turns ``a/b`` into a pattern that selects fewer ``b`` nodes of
+    #: the tree below, or other nodes.
+    MUTATIONS = {
+        "add_child": lambda p: p.add_child(p.output, "c", Axis.CHILD),  # a/b[c]
+        "set_output": lambda p: p.set_output(
+            p.add_child(p.output, "c", Axis.CHILD)
+        ),  # a/b/c
+        "set_value_test": lambda p: p.set_value_test(
+            p.output, ValueTest("<", 10)
+        ),  # a/b with b < 10
+        "graft": lambda p: p.graft(
+            p.output, parse_xpath("c/d"), Axis.DESCENDANT
+        ),  # a/b[.//c/d]
+    }
+
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=list(MUTATIONS))
+    def test_mutation_invalidates_memo(self, mutate):
+        t = build_tree(("a", ("b", "#text:5", ("c", "d")), ("b", "#text:50")))
+        p = parse_xpath("a/b")
+        before = evaluate(p, t)
+        form = p.canonical_form()
+        key = global_compiler().intern(p).key
+        mutate(p)
+        assert p.canonical_form() != form
+        assert global_compiler().intern(p).key == p.canonical_form() != key
+        assert evaluate(p, t) != before
+        assert evaluate(p, t) == evaluate_bruteforce(p, t)
+
+    def test_mutating_a_copy_leaves_the_original(self):
+        t = build_tree(("a", ("b", "c"), "b"))
+        p = parse_xpath("a/b")
+        before, form = evaluate(p, t), p.canonical_form()
+        clone = p.copy()
+        assert clone.canonical_form() == form
+        clone.set_output(clone.add_child(clone.output, "c", Axis.CHILD))
+        assert clone.canonical_form() != form
+        assert evaluate(clone, t) != before
+        assert (p.canonical_form(), evaluate(p, t)) == (form, before)
+
+    def test_gained_value_test_takes_the_set_path(self, calls):
+        t = build_tree(("a", ("b", "#text:5"), ("b", "#text:50")))
+        low = t.children(t.root)[0]
+        p = parse_xpath("a/b")
+        assert len(evaluate(p, t)) == 2
+        p.set_value_test(p.output, ValueTest("<", 10))
+        assert evaluate(p, t) == {low}
+        assert calls == ["kernel", "sets"]
 
 
 class TestEvaluateSubtrees:

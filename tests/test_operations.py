@@ -7,6 +7,7 @@ import pytest
 from repro.errors import OperationError
 from repro.operations.ops import Delete, Insert, Read
 from repro.patterns.xpath import parse_xpath
+from repro.xml.isomorphism import isomorphic
 from repro.xml.parser import parse
 from repro.xml.tree import build_tree
 
@@ -83,6 +84,18 @@ class TestInsert:
         b = t.children(t.root)[0]
         (grafted,) = result.tree.children(b)
         assert result.tree.label(grafted) == "r"
+
+    @pytest.mark.parametrize("xpath", ["a", "a/b"])  # one point, two points
+    def test_insert_tree_into_itself_in_place(self, xpath, prompt):
+        """Every point receives a copy of the pre-update ``X``, as in apply."""
+        t = build_tree(("a", "b", ("b", "c")))
+        op = Insert(xpath, t)
+        expected = op.apply(t)
+        result = op.apply_in_place(t)
+        assert result.tree is t
+        assert result.points == expected.points
+        assert len(expected.points) == (1 if xpath == "a" else 2)
+        assert isomorphic(t, expected.tree)
 
     def test_insertion_points_computed_before_mutation(self):
         """Inserting nodes that themselves match must not cascade."""

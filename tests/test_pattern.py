@@ -218,6 +218,15 @@ class TestValueTest:
     def test_str_formats_integers(self):
         assert str(ValueTest("<", 10.0)) == "< 10"
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_constant_rejected(self, value):
+        with pytest.raises(PatternError, match="not finite"):
+            ValueTest("<", value)
+
+    def test_large_finite_constant_renders(self):
+        test = ValueTest("<", 1e300)
+        assert str(test).startswith("< 1000000000000000052504760255204")
+
 
 class TestFreshLabel:
     def test_avoids_collisions(self):

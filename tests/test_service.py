@@ -184,6 +184,15 @@ class TestCheck:
                 {"op": "read", "xpath": "///"}, {"op": "delete", "xpath": "a/b"}
             )
 
+    def test_overflowing_constant_is_400_on_both_routes(self, client):
+        cheap = {"op": "read", "xpath": f"a/b[c < 1{'0' * 400}]"}
+        purge = {"op": "delete", "xpath": "a/b"}
+        with pytest.raises(ServiceProtocolError, match="out of range"):
+            client.check(cheap, purge)
+        with pytest.raises(ServiceProtocolError, match="out of range"):
+            client._request("POST", "/v1/matrix", {"ops": {"cheap": cheap, "purge": purge}})
+        assert client.healthz()["status"] == "ok"  # the connection survived
+
 
 class TestMatrixAndSchedule:
     def test_matrix_matches_batch_analyzer(self, client):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import NodeNotFoundError, TreeStructureError
+from repro.xml.isomorphism import isomorphic
 from repro.xml.tree import XMLTree, build_tree
 
 
@@ -53,6 +54,16 @@ class TestConstruction:
 
 
 class TestTraversal:
+    def test_fold_paths_threads_values_and_prunes(self):
+        t = build_tree(("a", ("b", "c"), ("d", "e")))
+
+        def depth_until_d(depth, label):
+            return 0 if label == "d" else depth + 1
+
+        folded = {t.label(n): v for n, v in t.fold_paths(0, depth_until_d)}
+        assert folded == {"a": 1, "b": 2, "c": 3}  # d is falsy: e is skipped
+        assert list(t.fold_paths(0, lambda value, label: 0)) == []
+
     def test_preorder_visits_all_once(self):
         t = build_tree(("a", ("b", "c"), ("d", "e", "f")))
         seen = list(t.preorder())
@@ -120,6 +131,15 @@ class TestMutation:
         grafted_root = mapping[guest.root]
         assert host.label(grafted_root) == "x"
         assert host.parent(grafted_root) == host.root
+
+    def test_graft_into_itself_copies_a_snapshot(self, prompt):
+        t = build_tree(("a", ("b", "c")))
+        before = t.copy()
+        mapping = t.graft(t.root, t)
+        assert set(mapping) == set(before.nodes())
+        assert t.size == 2 * before.size
+        assert isomorphic(t.subtree(mapping[before.root]), before)
+        t.validate()
 
     def test_graft_twice_gives_disjoint_copies(self):
         host = XMLTree("a")

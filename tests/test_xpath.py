@@ -147,6 +147,13 @@ class TestErrors:
         with pytest.raises(XPathSyntaxError):
             parse_xpath(text)
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_overflowing_constant_raises_at_its_offset(self, sign):
+        text = f"a/b[c < {sign}1{'0' * 400}]"
+        with pytest.raises(XPathSyntaxError, match="out of range") as info:
+            parse_xpath(text)
+        assert info.value.position == text.index(f"{sign}1")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
