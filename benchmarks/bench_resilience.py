@@ -125,7 +125,7 @@ def test_budget_checkpoint_overhead(benchmark):
     armed = BatchAnalyzer(ARMED_CONFIG, jobs=1, cache=VerdictCache()).analyze(
         catalogue
     )
-    assert not armed.reasons, armed.degraded_pairs()
+    assert armed.degraded_pairs() == []
     for a, b in itertools.combinations(plain.names, 2):
         assert plain.verdict(a, b) is armed.verdict(a, b), (a, b)
 

@@ -739,22 +739,18 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     )
     if args.render:
         print(matrix.render())
-    elif matrix.is_sparse:
+    else:
+        # The listing follows the --json shape: one line per name pair on
+        # small catalogues, one per group pair (with its multiplicity) on
+        # large ones.
         for entry in matrix.to_dict()["verdicts"]:
             if entry["verdict"] != Verdict.NO_CONFLICT.value:
-                suffix = (
-                    f" (degraded: {entry['reason']})" if entry["reason"] else ""
-                )
+                times = f" (x{entry['multiplicity']})" if "multiplicity" in entry else ""
+                suffix = f" (degraded: {entry['reason']})" if entry["reason"] else ""
                 print(
                     f"  {entry['first']} <-> {entry['second']}: "
-                    f"{entry['verdict']} (x{entry['multiplicity']}){suffix}"
+                    f"{entry['verdict']}{times}{suffix}"
                 )
-    else:
-        for (first, second), verdict in sorted(matrix.verdicts.items()):
-            if verdict is not Verdict.NO_CONFLICT:
-                reason = matrix.reasons.get((first, second))
-                suffix = f" (degraded: {reason})" if reason else ""
-                print(f"  {first} <-> {second}: {verdict.value}{suffix}")
     if analyzer.quarantine:
         print("quarantined pairs (conservative UNKNOWN, not cached):")
         for entry in analyzer.quarantine:

@@ -4,11 +4,11 @@ from repro.conflicts.api import AnalysisConfig, analyze
 from repro.conflicts.batch import (
     BatchAnalyzer,
     CanonicalOp,
-    ConflictMatrix,
     Operation,
     VerdictCache,
     reference_matrix,
 )
+from repro.conflicts.matrix import ConflictMatrix
 from repro.conflicts.index import (
     PatternIndex,
     StaticProfile,

@@ -24,7 +24,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from repro.conflicts.batch import BatchAnalyzer, ConflictMatrix, Operation, VerdictCache
+from repro.conflicts.batch import BatchAnalyzer, Operation, VerdictCache
+from repro.conflicts.matrix import ConflictMatrix
 from repro.conflicts.detector import DetectorConfig
 from repro.conflicts.semantics import Verdict
 from repro.obs.metrics import MetricsRegistry
@@ -113,9 +114,4 @@ def analyze(
         return matrix
     if mode == "schedule":
         return analyzer.schedule()
-    names = matrix.names
-    return [
-        (names[i], names[j], matrix.verdict(names[i], names[j]))
-        for i in range(len(names))
-        for j in range(i + 1, len(names))
-    ]
+    return list(matrix.pairs())

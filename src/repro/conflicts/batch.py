@@ -27,7 +27,9 @@ repeats work the catalogue view makes unnecessary:
   and shipping its metrics back into the parent's ``repro.obs`` registry;
 * **maintain incrementally** — :meth:`BatchAnalyzer.add_op` /
   :meth:`BatchAnalyzer.remove_op` re-decide only the affected
-  row/column instead of rebuilding the matrix;
+  row/column instead of rebuilding the
+  :class:`~repro.conflicts.matrix.ConflictMatrix`, whose cells the
+  analyzer fills one per canonical group pair;
 * **survive failures** — chunks are dispatched individually with a
   wall-clock timeout, crashed or wedged chunks are split and retried
   with backoff until the poison pair is isolated, and exhausted pairs
@@ -61,6 +63,7 @@ from repro import obs
 from repro.compile.compiler import CompiledArtifact, global_compiler
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
 from repro.conflicts.index import PatternIndex, StaticProfile, profile_pattern, result_containment
+from repro.conflicts.matrix import ConflictMatrix
 from repro.conflicts.semantics import ConflictKind, Verdict
 from repro.errors import (
     CacheCorrupt,
@@ -354,13 +357,17 @@ class VerdictCache:
     ) -> "VerdictCache":
         """Rebuild a cache from a :meth:`save` snapshot, salvaging if corrupt.
 
-        A snapshot that is not valid JSON (truncated write, bit rot,
-        injected ``cache_corrupt`` fault) does not abort the run: the valid
-        prefix of its entries array is salvaged, the damaged original is
-        preserved as ``<path>.bak``, and a :class:`CacheCorruptWarning` is
-        emitted.  Pass ``strict=True`` to raise :class:`CacheCorrupt`
-        instead of salvaging.  A parseable snapshot with an unsupported
-        version is always an error — its entries mean something else.
+        A damaged snapshot does not abort the run.  That covers text that
+        is not valid JSON (truncated write, bit rot, injected
+        ``cache_corrupt`` fault) and JSON of the wrong shape: a top level
+        that is not an object, ``entries`` that is not a list, an entry
+        missing ``config``/``a``/``b``/``verdict`` or carrying an unknown
+        verdict.  The valid prefix of its entries array is salvaged, the
+        damaged original is preserved as ``<path>.bak``, and a
+        :class:`CacheCorruptWarning` is emitted.  Pass ``strict=True`` to
+        raise :class:`CacheCorrupt` instead of salvaging.  A snapshot with
+        an unsupported version is always an error — its entries mean
+        something else.
         """
         path = os.fspath(path)
         with open(path, encoding="utf-8") as handle:
@@ -368,32 +375,51 @@ class VerdictCache:
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
-            if strict:
-                raise CacheCorrupt(
-                    f"corrupt verdict-cache snapshot {path!r}: {exc}"
-                ) from exc
-            entries = cls._salvage_entries(text)
-            backup = f"{path}.bak"
-            shutil.copyfile(path, backup)
-            warnings.warn(
-                CacheCorruptWarning(
-                    f"verdict-cache snapshot {path!r} is corrupt "
-                    f"({exc}); salvaged {len(entries)} of its entries, "
-                    f"original preserved as {backup!r}"
-                ),
-                stacklevel=2,
-            )
-            cache = cls(shard_id=cls._snapshot_owner(path))
+            problem, entries = str(exc), None
+        else:
+            problem, entries = cls._check_payload(payload)
+        if problem is None:
+            shard = payload.get("shard")
+            cache = cls(shard_id=shard if isinstance(shard, int) else None)
             cache.merge(entries)
             return cache
+        if strict:
+            raise CacheCorrupt(f"corrupt verdict-cache snapshot {path!r}: {problem}")
+        if entries is None:
+            entries = cls._salvage_entries(text)
+        backup = f"{path}.bak"
+        shutil.copyfile(path, backup)
+        warnings.warn(
+            CacheCorruptWarning(
+                f"verdict-cache snapshot {path!r} is corrupt "
+                f"({problem}); salvaged {len(entries)} of its entries, "
+                f"original preserved as {backup!r}"
+            ),
+            stacklevel=2,
+        )
+        cache = cls(shard_id=cls._snapshot_owner(path))
+        cache.merge(entries)
+        return cache
+
+    @staticmethod
+    def _check_payload(payload: object) -> "tuple[str | None, list]":
+        """``(problem, valid entries prefix)`` of a parsed snapshot.
+
+        ``problem`` is ``None`` when the whole snapshot is well formed.
+        """
+        if not isinstance(payload, dict):
+            return "the top level is not an object", []
         if payload.get("version") != 1:
             raise ConflictEngineError(
                 f"unsupported verdict-cache version {payload.get('version')!r}"
             )
-        shard = payload.get("shard")
-        cache = cls(shard_id=shard if isinstance(shard, int) else None)
-        cache.merge(payload["entries"])
-        return cache
+        entries = payload.get("entries")
+        if not isinstance(entries, list):
+            return "'entries' is not a list", []
+        for index, entry in enumerate(entries):
+            if not _valid_entry(entry):
+                return f"entry {index} is malformed", entries[:index]
+        return None, entries
 
     @staticmethod
     def _salvage_entries(text: str) -> list[dict]:
@@ -423,17 +449,28 @@ class VerdictCache:
                 entry, pos = decoder.raw_decode(text, pos)
             except json.JSONDecodeError:
                 break
-            if not (
-                isinstance(entry, dict)
-                and {"config", "a", "b", "verdict"} <= entry.keys()
-            ):
-                break
-            try:
-                Verdict(entry["verdict"])
-            except ValueError:
+            if not _valid_entry(entry):
                 break
             entries.append(entry)
         return entries
+
+
+#: The JSON values an exported key component may hold (all hashable).
+_KEY_ATOMS = (str, int, float, type(None))
+_VERDICTS = tuple(verdict.value for verdict in Verdict)
+
+
+def _valid_entry(entry: object) -> bool:
+    """Whether ``entry`` is a well-formed :meth:`VerdictCache.export` entry."""
+    return (
+        isinstance(entry, dict)
+        and all(
+            isinstance(entry.get(field), list)
+            and all(isinstance(atom, _KEY_ATOMS) for atom in entry[field])
+            for field in ("config", "a", "b")
+        )
+        and entry.get("verdict") in _VERDICTS
+    )
 
 
 def _corrupt_snapshot(text: str, mode: str | None) -> str:
@@ -447,289 +484,6 @@ def _corrupt_snapshot(text: str, mode: str | None) -> str:
     if mode == "truncate":
         return text[: max(1, (len(text) * 3) // 5)]
     return text + "\x00{corrupt-tail"
-
-
-@dataclass
-class ConflictMatrix:
-    """Pairwise may-conflict verdicts over a named operation set.
-
-    ``reasons`` records *degraded* pairs: entries whose ``UNKNOWN`` verdict
-    was forced by the resilience layer (``timeout``, ``step_limit``,
-    ``worker_crash``) rather than decided by the engine.  Degraded pairs
-    stay conservatively sound — schedulers already treat ``UNKNOWN`` as
-    may-conflict — but the reason lets callers distinguish "the theory ran
-    out" from "the infrastructure gave up" and re-run the latter.
-
-    ``origins`` records *how* each pair got its verdict when it was not a
-    real engine decision: ``"trivial"`` (read/read), ``"cached"``,
-    ``"index:chain"``/``"index:depth"`` (static-index discharge), or
-    ``"containment:<parent>"`` (verdict propagated from a subsuming read).
-    Pairs absent from ``origins`` were decided by a decision procedure;
-    :meth:`discharge_reason` reports ``"decided"`` for them.
-
-    Above :attr:`BatchAnalyzer.DENSE_LIMIT` operations the per-name-pair
-    dicts would hold tens of millions of entries, so the analyzer switches
-    to *sparse* (grouped) storage: names are partitioned into canonical
-    equivalence groups and one verdict is stored per unordered group pair.
-    The query API (:meth:`verdict`, :meth:`reason`,
-    :meth:`discharge_reason`, :meth:`counts`, …) is identical in both
-    modes; only the raw ``verdicts`` dict stays empty in sparse mode.
-    """
-
-    names: list[str]
-    verdicts: dict[tuple[str, str], Verdict] = field(default_factory=dict)
-    reasons: dict[tuple[str, str], str] = field(default_factory=dict)
-    origins: dict[tuple[str, str], str] = field(default_factory=dict)
-    # Sparse (grouped) storage — populated instead of the dicts above when
-    # the catalogue is too large for per-name-pair materialization.
-    group_of: dict[str, int] | None = None
-    group_members: list[list[str]] | None = None
-    group_verdicts: dict[tuple[int, int], Verdict] | None = None
-    group_origins: dict[tuple[int, int], str] | None = None
-    group_reasons: dict[tuple[int, int], str] | None = None
-
-    @property
-    def is_sparse(self) -> bool:
-        """True when verdicts are stored per canonical group pair."""
-        return self.group_of is not None
-
-    def _group_pair(self, first: str, second: str) -> tuple[int, int]:
-        assert self.group_of is not None
-        gi, gj = self.group_of[first], self.group_of[second]
-        return (gi, gj) if gi <= gj else (gj, gi)
-
-    def verdict(self, first: str, second: str) -> Verdict:
-        """The verdict for an unordered pair (symmetric)."""
-        if first == second:
-            return Verdict.NO_CONFLICT
-        if self.is_sparse:
-            assert self.group_verdicts is not None
-            return self.group_verdicts[self._group_pair(first, second)]
-        key = (first, second) if (first, second) in self.verdicts else (second, first)
-        return self.verdicts[key]
-
-    def reason(self, first: str, second: str) -> str | None:
-        """The degradation reason for a pair, or ``None`` if fully decided."""
-        if first == second:
-            return None
-        if self.is_sparse:
-            assert self.group_reasons is not None
-            return self.group_reasons.get(self._group_pair(first, second))
-        if (first, second) in self.reasons:
-            return self.reasons[(first, second)]
-        return self.reasons.get((second, first))
-
-    def discharge_reason(self, first: str, second: str) -> str:
-        """How the pair got its verdict without (or with) a decision.
-
-        One of ``"trivial"``, ``"cached"``, ``"index:chain"``,
-        ``"index:depth"``, ``"containment:<parent>"`` or ``"decided"``.
-        """
-        if first == second:
-            return "trivial"
-        if self.is_sparse:
-            assert self.group_verdicts is not None and self.group_origins is not None
-            pair = self._group_pair(first, second)
-            self.group_verdicts[pair]  # KeyError on unknown pairs
-            return self.group_origins.get(pair, "decided")
-        self.verdict(first, second)  # KeyError on unknown pairs
-        if (first, second) in self.origins:
-            return self.origins[(first, second)]
-        return self.origins.get((second, first), "decided")
-
-    def discharged_pairs(self) -> list[tuple[str, str, str]]:
-        """All pairs discharged without a decision procedure.
-
-        Entries are ``(first, second, reason)`` with reason
-        ``"index:*"`` or ``"containment:*"``.  In sparse mode this
-        expands group pairs to name pairs — use :meth:`discharge_counts`
-        when only the tallies are needed.
-        """
-        out: list[tuple[str, str, str]] = []
-        if self.is_sparse:
-            assert self.group_origins is not None and self.group_members is not None
-            for (gi, gj), origin in self.group_origins.items():
-                if not origin.startswith(("index:", "containment:")):
-                    continue
-                if gi == gj:
-                    members = self.group_members[gi]
-                    out.extend(
-                        (a, b, origin)
-                        for index, a in enumerate(members)
-                        for b in members[index + 1 :]
-                    )
-                else:
-                    out.extend(
-                        (a, b, origin)
-                        for a in self.group_members[gi]
-                        for b in self.group_members[gj]
-                    )
-            return sorted(out)
-        return sorted(
-            (a, b, origin)
-            for (a, b), origin in self.origins.items()
-            if origin.startswith(("index:", "containment:"))
-        )
-
-    def _pair_multiplicity(self, gi: int, gj: int) -> int:
-        assert self.group_members is not None
-        size_i = len(self.group_members[gi])
-        if gi == gj:
-            return size_i * (size_i - 1) // 2
-        return size_i * len(self.group_members[gj])
-
-    def discharge_counts(self) -> dict[str, int]:
-        """Name-pair tallies by origin class (multiplicity-exact).
-
-        Keys: ``decided``, ``cached``, ``trivial``, ``index``,
-        ``containment``.  The sum equals the total number of analyzed
-        pairs in both dense and sparse mode.
-        """
-        out = {"decided": 0, "cached": 0, "trivial": 0, "index": 0, "containment": 0}
-        if self.is_sparse:
-            assert self.group_verdicts is not None and self.group_origins is not None
-            for pair in self.group_verdicts:
-                origin = self.group_origins.get(pair, "decided")
-                out[origin.split(":", 1)[0]] += self._pair_multiplicity(*pair)
-            return out
-        for key in self.verdicts:
-            origin = self.origins.get(key, "decided")
-            out[origin.split(":", 1)[0]] += 1
-        return out
-
-    def degraded_pairs(self) -> list[tuple[str, str, str]]:
-        """All resilience-degraded pairs as ``(first, second, reason)``."""
-        if self.is_sparse:
-            assert self.group_reasons is not None and self.group_members is not None
-            out = []
-            for (gi, gj), reason in self.group_reasons.items():
-                if gi == gj:
-                    members = self.group_members[gi]
-                    out.extend(
-                        (a, b, reason)
-                        for index, a in enumerate(members)
-                        for b in members[index + 1 :]
-                    )
-                else:
-                    out.extend(
-                        (a, b, reason)
-                        for a in self.group_members[gi]
-                        for b in self.group_members[gj]
-                    )
-            return sorted(out)
-        return [(a, b, reason) for (a, b), reason in sorted(self.reasons.items())]
-
-    def degraded_count(self) -> int:
-        """Number of resilience-degraded name pairs (multiplicity-exact)."""
-        if self.is_sparse:
-            assert self.group_reasons is not None
-            return sum(self._pair_multiplicity(*pair) for pair in self.group_reasons)
-        return len(self.reasons)
-
-    def may_conflict(self, first: str, second: str) -> bool:
-        """True unless the pair is *proved* conflict-free."""
-        return self.verdict(first, second) is not Verdict.NO_CONFLICT
-
-    def compatible_with(self, name: str) -> list[str]:
-        """All operations proved compatible with ``name``."""
-        return [
-            other
-            for other in self.names
-            if other != name and not self.may_conflict(name, other)
-        ]
-
-    def counts(self) -> dict[str, int]:
-        """Tally of stored pair verdicts by outcome (name-pair exact)."""
-        out = {v.value: 0 for v in Verdict}
-        if self.is_sparse:
-            assert self.group_verdicts is not None
-            for pair, verdict in self.group_verdicts.items():
-                out[verdict.value] += self._pair_multiplicity(*pair)
-            return out
-        for verdict in self.verdicts.values():
-            out[verdict.value] += 1
-        return out
-
-    def to_dict(self) -> dict:
-        """A JSON-able view — the one stable schema shared by the CLI's
-        ``--json`` output and the service's ``/v1/matrix`` response."""
-        if self.is_sparse:
-            assert (
-                self.group_verdicts is not None
-                and self.group_members is not None
-                and self.group_origins is not None
-                and self.group_reasons is not None
-            )
-            entries = []
-            for (gi, gj), verdict in sorted(self.group_verdicts.items()):
-                members_i = self.group_members[gi]
-                members_j = self.group_members[gj]
-                if not members_i or not members_j:
-                    continue  # tombstoned group after remove_op
-                first = members_i[0]
-                second = members_j[1] if gi == gj else members_j[0]
-                entries.append(
-                    {
-                        "first": first,
-                        "second": second,
-                        "verdict": verdict.value,
-                        "reason": self.group_reasons.get((gi, gj)),
-                        "discharge": self.group_origins.get((gi, gj), "decided"),
-                        "multiplicity": self._pair_multiplicity(gi, gj),
-                    }
-                )
-            discharge = self.discharge_counts()
-            return {
-                "names": list(self.names),
-                "sparse": True,
-                "groups": [list(members) for members in self.group_members],
-                "verdicts": entries,
-                "stats": {
-                    "operations": len(self.names),
-                    **self.counts(),
-                    "degraded": self.degraded_count(),
-                    "discharged": discharge["index"] + discharge["containment"],
-                },
-            }
-        discharge = self.discharge_counts()
-        return {
-            "names": list(self.names),
-            "verdicts": [
-                {
-                    "first": a,
-                    "second": b,
-                    "verdict": verdict.value,
-                    "reason": self.reasons.get((a, b)),
-                    "discharge": self.origins.get((a, b), "decided"),
-                }
-                for (a, b), verdict in sorted(self.verdicts.items())
-            ],
-            "stats": {
-                "operations": len(self.names),
-                **self.counts(),
-                "degraded": len(self.reasons),
-                "discharged": discharge["index"] + discharge["containment"],
-            },
-        }
-
-    def render(self) -> str:
-        """A fixed-width text table (conflict / ``-`` / ``?``)."""
-        mark = {
-            Verdict.CONFLICT: "conflict",
-            Verdict.NO_CONFLICT: "-",
-            Verdict.UNKNOWN: "?",
-        }
-        width = max(len(n) for n in self.names) + 2
-        cell = max(10, width)
-        lines = [
-            " " * width + "".join(f"{name[:cell - 2]:>{cell}}" for name in self.names)
-        ]
-        for row in self.names:
-            cells = [f"{row[:width - 2]:<{width}}"]
-            for col in self.names:
-                cells.append(f"{mark[self.verdict(row, col)]:>{cell}}")
-            lines.append("".join(cells))
-        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -865,9 +619,8 @@ class _Unit:
     """One unordered pair of canonical *groups* awaiting a verdict.
 
     The analyzer decides per distinct pair of canonical forms; a unit
-    carries the name-pair multiplicity it stands for and where to write
-    the result (``targets``: explicit name pairs in dense mode, one
-    group-id pair in sparse mode).
+    carries the name-pair multiplicity it stands for and the matrix cell
+    (a pair of group ids) its verdict fills.
     """
 
     key: PairKey
@@ -875,7 +628,7 @@ class _Unit:
     canon_b: CanonicalOp
     rep: tuple[str, str]
     multiplicity: int
-    targets: "list[tuple[str, str]] | tuple[int, int]"
+    cell: tuple[int, int]
 
 
 @dataclass
@@ -940,11 +693,6 @@ class BatchAnalyzer:
     #: startup cost and decisions stay in-process.
     MIN_PARALLEL_PAIRS = 4
 
-    #: Catalogues up to this many operations materialize per-name-pair
-    #: verdict dicts (the historical representation); above it the matrix
-    #: switches to sparse group storage so 10k+ catalogues stay feasible.
-    DENSE_LIMIT = 512
-
     #: At most this many subsuming-read candidates are examined per
     #: containment child, bounding the planner to O(children × cap)
     #: memoized homomorphism checks.
@@ -1001,10 +749,7 @@ class BatchAnalyzer:
         self._containment_memo: dict[tuple[OpKey, OpKey], bool] = {}
         self._operations: dict[str, Operation] = {}
         self._canon: dict[str, CanonicalOp] = {}
-        self._groups: dict[OpKey, list[str]] = {}
-        self._group_ids: dict[OpKey, int] = {}
-        self._matrix = ConflictMatrix(names=[])
-        self._quarantine: list[dict] = []
+        self._matrix = ConflictMatrix()
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -1035,16 +780,19 @@ class BatchAnalyzer:
 
     @property
     def quarantine(self) -> list[dict]:
-        """Degraded pairs from the current catalogue's decisions (a copy).
+        """The matrix's degraded pairs, as :meth:`ConflictMatrix.degraded_pairs`.
 
         Each entry is ``{"first", "second", "reason"}`` with reason one of
-        ``"timeout"``, ``"step_limit"``, or ``"worker_crash"``.  Reset by
-        :meth:`analyze`; extended by :meth:`add_op`.  These pairs carry a
-        conservative ``UNKNOWN`` verdict in the matrix and were *not*
-        written to the verdict cache, so a re-run (with a bigger budget, or
-        without the faulty infrastructure) will decide them for real.
+        ``"timeout"``, ``"step_limit"``, or ``"worker_crash"``.  These pairs
+        carry a conservative ``UNKNOWN`` verdict in the matrix and were
+        *not* written to the verdict cache, so a re-run (with a bigger
+        budget, or without the faulty infrastructure) will decide them
+        for real.
         """
-        return [dict(entry) for entry in self._quarantine]
+        return [
+            {"first": first, "second": second, "reason": reason}
+            for first, second, reason in self._matrix.degraded_pairs()
+        ]
 
     def analyze(
         self,
@@ -1064,46 +812,29 @@ class BatchAnalyzer:
                 name: CanonicalOp.from_operation(op) for name, op in ops.items()
             }
             self._precompile(ops.values())
-            names = list(ops)
-            self._quarantine = []
-            self._groups = {}
-            for name in names:
-                self._groups.setdefault(self._canon[name].key, []).append(name)
-            self._group_ids = {gkey: gid for gid, gkey in enumerate(self._groups)}
-            if len(names) <= self.DENSE_LIMIT:
-                self._matrix = ConflictMatrix(names=names)
-            else:
-                group_of: dict[str, int] = {}
-                members: list[list[str]] = []
-                for group in self._groups.values():
-                    gid = len(members)
-                    members.append(list(group))
-                    for member in group:
-                        group_of[member] = gid
-                self._matrix = ConflictMatrix(
-                    names=names,
-                    group_of=group_of,
-                    group_members=members,
-                    group_verdicts={},
-                    group_origins={},
-                    group_reasons={},
-                )
-            position = {name: i for i, name in enumerate(names)}
+            self._matrix = ConflictMatrix()
+            for name, canon in self._canon.items():
+                self._matrix.add(name, canon.key)
             fingerprint = self.config.fingerprint()
-            group_list = list(self._groups.values())
+            groups = self._matrix.group_ids()
             units = []
-            for i in range(len(group_list)):
-                for j in range(i, len(group_list)):
-                    unit = self._make_unit(
-                        fingerprint, i, j, group_list[i], group_list[j], position
-                    )
+            for i, first in enumerate(groups):
+                for second in groups[i:]:
+                    unit = self._make_unit(fingerprint, (first, second))
                     if unit is not None:
                         units.append(unit)
             self._resolve_units(units, containment=self.containment)
         return self._matrix
 
     def add_op(self, name: str, operation: Operation) -> ConflictMatrix:
-        """Add one operation, deciding only its row against the catalogue."""
+        """Add one operation, deciding only the matrix cells it lacks.
+
+        A new canonical form gets one cell per existing group: its row.
+        An operation structurally identical to one already in the
+        catalogue joins that operation's group and shares its cells, so
+        at most the group's own pair is decided (when the group had one
+        member) and no existing pair changes.
+        """
         if name in self._operations:
             raise ConflictEngineError(
                 f"duplicate operation name {name!r}: remove it first or "
@@ -1111,49 +842,16 @@ class BatchAnalyzer:
             )
         with obs.span("batch.add_op", existing=len(self._operations)):
             self._operations[name] = operation
-            canon = CanonicalOp.from_operation(operation)
-            self._canon[name] = canon
+            canon = self._canon[name] = CanonicalOp.from_operation(operation)
             self._precompile([operation])
             fingerprint = self.config.fingerprint()
-            new_gid = self._group_ids.get(canon.key)
-            if new_gid is None:
-                new_gid = (
-                    len(self._matrix.group_members)
-                    if self._matrix.is_sparse
-                    else len(self._groups)
-                )
+            group = self._matrix.add(name, canon.key)
             units = []
-            for gkey, members in self._groups.items():
-                canon_a = self._canon[members[0]]
-                targets: "list[tuple[str, str]] | tuple[int, int]"
-                if self._matrix.is_sparse:
-                    gid = self._group_ids[gkey]
-                    targets = (min(gid, new_gid), max(gid, new_gid))
-                else:
-                    targets = [(member, name) for member in members]
-                units.append(
-                    _Unit(
-                        key=VerdictCache.pair_key(fingerprint, canon_a, canon),
-                        canon_a=canon_a,
-                        canon_b=canon,
-                        rep=(members[0], name),
-                        multiplicity=len(members),
-                        targets=targets,
-                    )
-                )
-            self._matrix.names.append(name)
-            if canon.key in self._groups:
-                self._groups[canon.key].append(name)
-            else:
-                self._groups[canon.key] = [name]
-                self._group_ids[canon.key] = new_gid
-            if self._matrix.is_sparse:
-                assert self._matrix.group_members is not None
-                assert self._matrix.group_of is not None
-                while len(self._matrix.group_members) <= new_gid:
-                    self._matrix.group_members.append([])
-                self._matrix.group_members[new_gid].append(name)
-                self._matrix.group_of[name] = new_gid
+            for other in self._matrix.group_ids():
+                if not self._matrix.has_cell((other, group)):
+                    unit = self._make_unit(fingerprint, (other, group))
+                    if unit is not None:
+                        units.append(unit)
             self._resolve_units(units, containment=False)
             self._metrics.inc("batch.incremental_adds")
         return self._matrix
@@ -1162,44 +860,9 @@ class BatchAnalyzer:
         """Remove one operation and its row/column from the matrix."""
         if name not in self._operations:
             raise ConflictEngineError(f"unknown operation name {name!r}")
-        canon = self._canon.pop(name)
+        del self._canon[name]
         del self._operations[name]
-        self._matrix.names.remove(name)
-        members = self._groups.get(canon.key)
-        if members is not None:
-            members.remove(name)
-            if not members:
-                del self._groups[canon.key]
-                self._group_ids.pop(canon.key, None)
-        if self._matrix.is_sparse:
-            assert self._matrix.group_of is not None
-            assert self._matrix.group_members is not None
-            gid = self._matrix.group_of.pop(name)
-            self._matrix.group_members[gid].remove(name)
-            if not self._matrix.group_members[gid]:
-                # Group ids are positional, so the empty slot stays as a
-                # tombstone; its pair entries are dropped here and a later
-                # add_op of the same canonical form gets a fresh id.
-                for table in (
-                    self._matrix.group_verdicts,
-                    self._matrix.group_origins,
-                    self._matrix.group_reasons,
-                ):
-                    assert table is not None
-                    for key in [k for k in table if gid in k]:
-                        del table[key]
-        else:
-            for key in [k for k in self._matrix.verdicts if name in k]:
-                del self._matrix.verdicts[key]
-            for key in [k for k in self._matrix.reasons if name in k]:
-                del self._matrix.reasons[key]
-            for key in [k for k in self._matrix.origins if name in k]:
-                del self._matrix.origins[key]
-        self._quarantine = [
-            entry
-            for entry in self._quarantine
-            if name not in (entry["first"], entry["second"])
-        ]
+        self._matrix.remove(name)
         self._metrics.inc("batch.incremental_removes")
         return self._matrix
 
@@ -1258,48 +921,21 @@ class BatchAnalyzer:
                 count += 1
         self._metrics.inc("batch.ops_precompiled", count)
 
-    def _make_unit(
-        self,
-        fingerprint: tuple,
-        gi: int,
-        gj: int,
-        members_i: list[str],
-        members_j: list[str],
-        position: dict[str, int],
-    ) -> "_Unit | None":
-        canon_a = self._canon[members_i[0]]
-        canon_b = self._canon[members_j[0]]
-        if gi == gj:
-            size = len(members_i)
-            multiplicity = size * (size - 1) // 2
-            if multiplicity == 0:
-                return None
-            rep = (members_i[0], members_i[1])
-        else:
-            multiplicity = len(members_i) * len(members_j)
-            rep = (members_i[0], members_j[0])
-        targets: "list[tuple[str, str]] | tuple[int, int]"
-        if self._matrix.is_sparse:
-            targets = (gi, gj)
-        elif gi == gj:
-            targets = [
-                (a, b)
-                for index, a in enumerate(members_i)
-                for b in members_i[index + 1 :]
-            ]
-        else:
-            targets = [
-                (a, b) if position[a] < position[b] else (b, a)
-                for a in members_i
-                for b in members_j
-            ]
+    def _make_unit(self, fingerprint: tuple, pair: tuple[int, int]) -> "_Unit | None":
+        """The unit deciding the matrix cell of a group pair (``None``: a
+        group of one has no pair of its own)."""
+        multiplicity = self._matrix.multiplicity(pair)
+        if multiplicity == 0:
+            return None
+        rep = self._matrix.representative(pair)
+        canon_a, canon_b = self._canon[rep[0]], self._canon[rep[1]]
         return _Unit(
             key=VerdictCache.pair_key(fingerprint, canon_a, canon_b),
             canon_a=canon_a,
             canon_b=canon_b,
             rep=rep,
             multiplicity=multiplicity,
-            targets=targets,
+            cell=pair,
         )
 
     def _resolve_units(self, units: "list[_Unit]", *, containment: bool) -> None:
@@ -1546,41 +1182,9 @@ class BatchAnalyzer:
     def _fill_unit(
         self, unit: "_Unit", verdict: Verdict, reason: "str | None", origin: str
     ) -> None:
-        if self._matrix.is_sparse:
-            pair = unit.targets
-            assert isinstance(pair, tuple)
-            assert self._matrix.group_verdicts is not None
-            assert self._matrix.group_origins is not None
-            assert self._matrix.group_reasons is not None
-            self._matrix.group_verdicts[pair] = verdict
-            if origin != "decided":
-                self._matrix.group_origins[pair] = origin
-            else:
-                self._matrix.group_origins.pop(pair, None)
-            if reason is not None:
-                self._matrix.group_reasons[pair] = reason
-                self._quarantine.append(
-                    {"first": unit.rep[0], "second": unit.rep[1], "reason": reason}
-                )
-                self._metrics.inc(
-                    "batch.pairs_degraded", unit.multiplicity, reason=reason
-                )
-            else:
-                self._matrix.group_reasons.pop(pair, None)
-            return
-        assert isinstance(unit.targets, list)
-        for name_a, name_b in unit.targets:
-            self._matrix.verdicts[(name_a, name_b)] = verdict
-            if origin != "decided":
-                self._matrix.origins[(name_a, name_b)] = origin
-            else:
-                self._matrix.origins.pop((name_a, name_b), None)
-            if reason is not None:
-                self._matrix.reasons[(name_a, name_b)] = reason
-                self._quarantine.append(
-                    {"first": name_a, "second": name_b, "reason": reason}
-                )
-                self._metrics.inc("batch.pairs_degraded", reason=reason)
+        self._matrix.fill(unit.cell, verdict, reason, origin)
+        if reason is not None:
+            self._metrics.inc("batch.pairs_degraded", unit.multiplicity, reason=reason)
 
     def _decide_unique(
         self, pending: dict[PairKey, list[tuple[str, str]]]
@@ -1808,16 +1412,17 @@ def reference_matrix(
 
     Decides every ordered-relevant pair through one detector call, with
     no batching, dedup, or verdict sharing — the pre-batch-engine
-    behavior.  The equivalence tests and ``bench_matrix.py`` compare
-    :class:`BatchAnalyzer` output against this, verdict for verdict.
+    behavior.  Every name is its own matrix group, so no verdict is
+    shared between names.  The equivalence tests and ``bench_matrix.py``
+    compare :class:`BatchAnalyzer` output against this, verdict for
+    verdict.
     """
     detector = detector if detector is not None else ConflictDetector()
     names = list(operations)
-    matrix = ConflictMatrix(names=names)
+    matrix = ConflictMatrix()
+    groups = [matrix.add(name, name) for name in names]
     for i, first_name in enumerate(names):
-        for second_name in names[i + 1:]:
-            report = detector.detect(
-                operations[first_name], operations[second_name]
-            )
-            matrix.verdicts[(first_name, second_name)] = report.verdict
+        for j in range(i + 1, len(names)):
+            report = detector.detect(operations[first_name], operations[names[j]])
+            matrix.fill((groups[i], groups[j]), report.verdict)
     return matrix

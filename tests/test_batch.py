@@ -184,7 +184,7 @@ class TestBatchAnalyzer:
         analyzer.analyze(OPERATIONS)
         analyzer.remove_op("purge")
         assert "purge" not in analyzer.matrix.names
-        assert all("purge" not in key for key in analyzer.matrix.verdicts)
+        assert all("purge" not in pair for pair in analyzer.matrix.pairs())
         fresh = BatchAnalyzer().analyze(analyzer.operations)
         assert_same_verdicts(fresh, analyzer.matrix)
 
@@ -214,6 +214,56 @@ class TestBatchAnalyzer:
         analyzer = BatchAnalyzer()
         analyzer.analyze(OPERATIONS)
         assert analyzer.schedule() == analyze(OPERATIONS, mode="schedule")
+
+
+def large_catalogue() -> dict:
+    """513 names over seven shapes: one past the per-pair JSON listing."""
+    ops = {f"r{index:03d}": Read(f"bib/book{index % 3}/title") for index in range(508)}
+    ops["i"] = Insert("bib/book0", "<title/>")
+    ops["d"] = Delete("bib/book1")
+    ops["purge"] = Delete("bib/book2")
+    ops["twin-a"] = Read("bib/twin")
+    ops["twin-b"] = Read("bib/twin")
+    return ops
+
+
+class TestMaintenanceOfLargeCatalogues:
+    """``add_op``/``remove_op`` past 512 names, where ``to_dict`` lists
+    group pairs."""
+
+    def test_remove_op_leaving_one_member_drops_its_self_pair(self):
+        analyzer = BatchAnalyzer(DetectorConfig(exhaustive_cap=1), jobs=1)
+        analyzer.analyze(large_catalogue())
+        matrix = analyzer.remove_op("twin-b")
+        assert "twin-b" not in matrix.to_dict()["names"]
+        matrix = analyzer.add_op("extra", Read("bib/extra"))
+        payload = matrix.to_dict()
+        assert payload["sparse"] is True
+        names = len(payload["names"])
+        assert sum(e["multiplicity"] for e in payload["verdicts"]) == names * (names - 1) // 2
+        assert all(e["first"] != e["second"] for e in payload["verdicts"])
+        assert ["twin-a"] in payload["groups"]
+
+    @pytest.mark.parametrize("twin", ["r000", "i"])
+    def test_duplicate_add_op_changes_no_existing_pair(self, twin):
+        ops = large_catalogue()
+        analyzer = BatchAnalyzer(DetectorConfig(exhaustive_cap=1), jobs=1)
+        matrix = analyzer.analyze(ops)
+
+        def state(a: str, b: str) -> tuple:
+            return matrix.verdict(a, b), matrix.reason(a, b), matrix.discharge_reason(a, b)
+
+        before = {pair: state(*pair) for pair in itertools.combinations(ops, 2)}
+        assert matrix.discharge_reason("i", "r000") == "decided"
+        total = analyzer.metrics()["counters"]["batch.pairs_total"]
+        analyzer.add_op("again", ops[twin])
+        assert {pair: state(*pair) for pair in before} == before
+        # Only the twin's group had no pair of its own to decide.
+        added = analyzer.metrics()["counters"]["batch.pairs_total"] - total
+        assert added == (1 if twin == "i" else 0)
+        for other in ops:
+            if other != twin:
+                assert state("again", other) == state(twin, other)
 
 
 class TestParallelEquivalence:

@@ -500,8 +500,8 @@ class TestKernelResilience:
         for first, second, reason in degraded:
             assert "poison" in (first, second)
             assert reason == "timeout"
-        for (a, b), verdict in reference.verdicts.items():
+        for a, b, verdict in reference.pairs():
             if "poison" not in (a, b):
-                assert matrix.verdicts[(a, b)] is verdict, (
+                assert matrix.verdict(a, b) is verdict, (
                     f"healthy pair ({a}, {b}) diverged"
                 )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
+from repro.errors import CacheCorruptWarning
 
 BOOK_XML = (
     "<bib><book><title>T</title><quantity>5</quantity></book>"
@@ -285,6 +286,13 @@ class TestMatrix:
         assert code == 1
         assert "conflict" in capsys.readouterr().out
 
+    def test_render_empty_catalogue(self, tmp_path, capsys):
+        code = main(["matrix", "--ops", _write_catalogue(tmp_path, "{}"), "--render"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0].startswith("0 operation(s), 0 pair(s)")
+        assert out.splitlines()[1].strip() == ""
+
     def test_json_schema(self, tmp_path, capsys):
         import json
 
@@ -462,6 +470,26 @@ class TestCacheCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["corrupt"] is True
         assert "salvaged" in payload["salvage"]
+
+    def test_inspect_malformed_snapshot_exits_1(self, snapshot, capsys):
+        import json
+
+        payload = json.loads(snapshot.read_text())
+        payload["entries"][0]["verdict"] = "conflicu"  # parseable, no verdict
+        snapshot.write_text(json.dumps(payload))
+        code = main(["cache", "inspect", str(snapshot)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "corrupt (salvaged), 0 entries" in captured.out
+        assert "Traceback" not in captured.err
+
+    def test_merge_salvages_malformed_snapshot(self, snapshot, tmp_path, capsys):
+        snapshot.write_text('[{"version": 1, "entries": []}]')
+        out = tmp_path / "merged.json"
+        with pytest.warns(CacheCorruptWarning):
+            code = main(["cache", "merge", "--out", str(out), str(snapshot)])
+        assert code == 0
+        assert "wrote 0 entries" in capsys.readouterr().out
 
     def test_inspect_missing_file(self, tmp_path, capsys):
         code = main(["cache", "inspect", str(tmp_path / "absent.json")])

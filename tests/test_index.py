@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.conflicts.batch import BatchAnalyzer, CanonicalOp, reference_matrix
+from repro.conflicts.matrix import ConflictMatrix
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
 from repro.conflicts.index import (
     PatternIndex,
@@ -380,39 +381,53 @@ class TestDifferentialOracle:
             assert reference.verdict(first, second) is Verdict.NO_CONFLICT
 
 
-class TestSparseMode:
-    def test_sparse_matches_dense(self, monkeypatch):
-        ops = mixed_catalogue(3, total=12)
-        dense = BatchAnalyzer(detector=fast_detector(), jobs=1)
-        dense_matrix = dense.analyze(ops)
-        assert not dense_matrix.is_sparse
-        monkeypatch.setattr(BatchAnalyzer, "DENSE_LIMIT", 4)
-        sparse = BatchAnalyzer(detector=fast_detector(), jobs=1)
-        sparse_matrix = sparse.analyze(ops)
-        assert sparse_matrix.is_sparse
-        assert sparse_matrix.counts() == dense_matrix.counts()
-        assert sparse_matrix.discharge_counts() == dense_matrix.discharge_counts()
-        assert sparse_matrix.degraded_count() == dense_matrix.degraded_count()
-        for a, b in itertools.combinations(ops, 2):
-            assert sparse_matrix.verdict(a, b) is dense_matrix.verdict(a, b), (a, b)
-            assert sparse_matrix.discharge_reason(a, b) == dense_matrix.discharge_reason(
-                a, b
-            ) or sparse_matrix.discharge_reason(a, b).split(":")[0] == (
-                dense_matrix.discharge_reason(a, b).split(":")[0]
-            )
-        payload = sparse_matrix.to_dict()
-        assert payload["sparse"] is True
-        assert payload["groups"]
-        assert payload["stats"]["operations"] == len(ops)
-
-    def test_schedule_agrees_across_modes(self, monkeypatch):
-        ops = mixed_catalogue(5, total=10)
-        dense = BatchAnalyzer(detector=fast_detector(), jobs=1)
-        dense.analyze(ops)
-        monkeypatch.setattr(BatchAnalyzer, "DENSE_LIMIT", 3)
-        sparse = BatchAnalyzer(detector=fast_detector(), jobs=1)
-        sparse.analyze(ops)
-        assert sparse.schedule() == dense.schedule()
+class TestJsonShapes:
+    @pytest.mark.parametrize("max_steps", [None, 200])
+    @pytest.mark.parametrize("seed", [3, 5, 42])
+    def test_grouped_listing_expands_to_pair_listing(self, seed, max_steps, monkeypatch):
+        """Both ``to_dict()`` shapes list the same name pairs: each grouped
+        entry, expanded over its ``groups`` members, yields ``multiplicity``
+        per-pair entries with its verdict, reason and discharge."""
+        ops = mixed_catalogue(seed)
+        # Repeat every third shape under a new name, so groups have several
+        # members; the step limit degrades some pairs, so reasons vary too.
+        ops.update({f"{name}-copy": op for name, op in list(ops.items())[::3]})
+        config = DetectorConfig(exhaustive_cap=FAST.exhaustive_cap, max_steps=max_steps)
+        matrix = BatchAnalyzer(config, jobs=1).analyze(ops)
+        per_pair = matrix.to_dict()
+        assert "sparse" not in per_pair
+        monkeypatch.setattr(ConflictMatrix, "PAIR_LISTING_LIMIT", len(ops) - 1)
+        grouped = matrix.to_dict()
+        assert grouped["sparse"] is True
+        assert grouped["names"] == per_pair["names"]
+        assert grouped["stats"] == per_pair["stats"]
+        assert len(grouped["verdicts"]) < len(per_pair["verdicts"])
+        group_of = {
+            name: members for members in grouped["groups"] for name in members
+        }
+        position = {name: index for index, name in enumerate(matrix.names)}
+        expanded = []
+        for entry in grouped["verdicts"]:
+            first, second = group_of[entry["first"]], group_of[entry["second"]]
+            if first is second:
+                pairs = list(itertools.combinations(first, 2))
+            else:
+                pairs = [(a, b) for a in first for b in second]
+            assert len(pairs) == entry["multiplicity"]
+            for a, b in pairs:
+                if position[a] > position[b]:
+                    a, b = b, a
+                expanded.append(
+                    {
+                        "first": a,
+                        "second": b,
+                        "verdict": entry["verdict"],
+                        "reason": entry["reason"],
+                        "discharge": entry["discharge"],
+                    }
+                )
+        expanded.sort(key=lambda entry: (entry["first"], entry["second"]))
+        assert expanded == per_pair["verdicts"]
 
 
 class TestFaultInterplay:

@@ -346,17 +346,17 @@ class TestBatchHardening:
             assert "poison" in (first, second)
             assert reason == "worker_crash"
         assert {("poison" in (a, b)) for a, b, _ in degraded} == {True}
-        for (a, b), verdict in reference.verdicts.items():
+        for a, b, verdict in reference.pairs():
             if "poison" in (a, b):
-                assert matrix.verdicts[(a, b)] is Verdict.UNKNOWN
+                assert matrix.verdict(a, b) is Verdict.UNKNOWN
                 assert matrix.reason(a, b) == "worker_crash"
             else:
-                assert matrix.verdicts[(a, b)] is verdict
+                assert matrix.verdict(a, b) is verdict
                 assert matrix.reason(a, b) is None
         quarantine = analyzer.quarantine
         assert all(entry["reason"] == "worker_crash" for entry in quarantine)
         assert {(e["first"], e["second"]) for e in quarantine} == {
-            (a, b) for (a, b) in matrix.reasons
+            (a, b) for a, b, _ in matrix.degraded_pairs()
         }
         counters = analyzer.metrics()["counters"]
         assert counters.get("batch.chunk_crashes", 0) > 0
@@ -369,10 +369,10 @@ class TestBatchHardening:
         faults.install(faults.FaultInjector.parse("worker_crash:1:first"))
         analyzer = BatchAnalyzer(jobs=2, retries=2, retry_backoff_s=0.001)
         matrix = analyzer.analyze(ops)
-        assert matrix.reasons == {}
+        assert matrix.degraded_pairs() == []
         assert analyzer.quarantine == []
-        for key, verdict in reference.verdicts.items():
-            assert matrix.verdicts[key] is verdict
+        for a, b, verdict in reference.pairs():
+            assert matrix.verdict(a, b) is verdict
         counters = analyzer.metrics()["counters"]
         assert counters.get("batch.chunk_crashes", 0) > 0
 
@@ -423,9 +423,9 @@ class TestBatchHardening:
         for first, second, reason in degraded:
             assert "poison" in (first, second)
             assert reason == "timeout"
-        for (a, b), verdict in reference.verdicts.items():
+        for a, b, verdict in reference.pairs():
             if "poison" not in (a, b):
-                assert matrix.verdicts[(a, b)] is verdict
+                assert matrix.verdict(a, b) is verdict
         counters = analyzer.metrics()["counters"]
         assert counters.get("batch.chunk_timeouts", 0) > 0
 
@@ -436,9 +436,9 @@ class TestBatchHardening:
         )
         analyzer = BatchAnalyzer(jobs=2, retries=0, retry_backoff_s=0.001)
         matrix = analyzer.analyze(ops)
-        assert matrix.reasons
+        assert matrix.degraded_pairs()
         fingerprint = analyzer.config.fingerprint()
-        for (a, b) in matrix.reasons:
+        for a, b, _ in matrix.degraded_pairs():
             key = VerdictCache.pair_key(
                 fingerprint, analyzer._canon[a], analyzer._canon[b]
             )
@@ -447,10 +447,10 @@ class TestBatchHardening:
         faults.uninstall()
         healthy = BatchAnalyzer(jobs=1, cache=analyzer.cache)
         again = healthy.analyze(ops)
-        assert again.reasons == {}
+        assert again.degraded_pairs() == []
         reference = reference_matrix(ops)
-        for key, verdict in reference.verdicts.items():
-            assert again.verdicts[key] is verdict
+        for a, b, verdict in reference.pairs():
+            assert again.verdict(a, b) is verdict
 
     def test_serial_path_records_reasons_too(self):
         ops = small_catalogue()
@@ -465,7 +465,7 @@ class TestBatchHardening:
         with pytest.raises(ConflictEngineError):
             BatchAnalyzer(retries=-1)
 
-    def test_remove_op_purges_quarantine(self):
+    def test_remove_op_purges_degraded_pairs(self):
         ops = poison_catalogue()
         faults.install(
             faults.FaultInjector.parse("worker_crash:1:only=poisonlabel")
@@ -476,7 +476,7 @@ class TestBatchHardening:
         faults.uninstall()
         matrix = analyzer.remove_op("poison")
         assert analyzer.quarantine == []
-        assert matrix.reasons == {}
+        assert matrix.degraded_pairs() == []
 
 
 class TestStartMethodOverride:
@@ -494,13 +494,45 @@ class TestStartMethodOverride:
         matrix = analyzer.analyze(ops)
         counters = analyzer.metrics()["counters"]
         assert counters.get("batch.pool_failures", 0) == 0
-        for key, verdict in reference.verdicts.items():
-            assert matrix.verdicts[key] is verdict
+        for a, b, verdict in reference.pairs():
+            assert matrix.verdict(a, b) is verdict
 
     def test_unavailable_method_is_an_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_START_METHOD", "threads-of-destiny")
         with pytest.raises(ConflictEngineError):
             _preferred_context()
+
+
+def _break_third_entry(change):
+    """A snapshot builder whose third entry is damaged by ``change``."""
+
+    def build(entries: list[dict]) -> dict:
+        broken = [dict(entry) for entry in entries]
+        change(broken[2])
+        return {"version": 1, "entries": broken}
+
+    return build
+
+
+#: Parseable snapshots of the wrong shape -> how many entries survive.
+MALFORMED_SNAPSHOTS = {
+    "top-level-list": (lambda entries: [{"version": 1, "entries": entries}], 0),
+    "entries-not-a-list": (
+        lambda entries: {"version": 1, "entries": {"first": entries[0]}},
+        0,
+    ),
+    **{
+        f"entry-without-{field}": (
+            _break_third_entry(lambda entry, field=field: entry.pop(field)),
+            2,
+        )
+        for field in ("config", "a", "b", "verdict")
+    },
+    "unknown-verdict": (
+        _break_third_entry(lambda entry: entry.update(verdict="conflicu")),
+        2,
+    ),
+}
 
 
 class TestCacheDurability:
@@ -558,6 +590,19 @@ class TestCacheDurability:
                 warnings.simplefilter("ignore")
                 VerdictCache.load(path)
 
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_SNAPSHOTS))
+    def test_malformed_snapshot_salvages_valid_prefix(self, tmp_path, shape):
+        build, kept = MALFORMED_SNAPSHOTS[shape]
+        entries = self._populated_cache().export()
+        path = tmp_path / "verdicts.json"
+        path.write_text(json.dumps(build(entries)))
+        with pytest.warns(CacheCorruptWarning):
+            salvaged = VerdictCache.load(path)
+        assert salvaged.export() == entries[:kept]
+        assert (tmp_path / "verdicts.json.bak").read_text() == path.read_text()
+        with pytest.raises(CacheCorrupt):
+            VerdictCache.load(path, strict=True)
+
     def test_unsalvageable_snapshot_yields_empty_cache(self, tmp_path):
         path = tmp_path / "verdicts.json"
         path.write_text("complete garbage, no structure at all")
@@ -597,16 +642,17 @@ def step_limited_matrix(ops):
 class TestUnknownPropagation:
     def test_reason_flows_through_matrix_api(self):
         matrix = step_limited_matrix(small_catalogue())
-        assert matrix.counts()["unknown"] >= len(matrix.reasons) > 0
+        degraded = matrix.degraded_pairs()
+        assert matrix.counts()["unknown"] >= len(degraded) > 0
         payload = matrix.to_dict()
-        assert payload["stats"]["degraded"] == len(matrix.reasons)
+        assert payload["stats"]["degraded"] == len(degraded)
         by_pair = {
             (entry["first"], entry["second"]): entry
             for entry in payload["verdicts"]
         }
-        for pair, reason in matrix.reasons.items():
-            assert by_pair[pair]["verdict"] == "unknown"
-            assert by_pair[pair]["reason"] == reason
+        for a, b, reason in degraded:
+            assert by_pair[(a, b)]["verdict"] == "unknown"
+            assert by_pair[(a, b)]["reason"] == reason
         decided = [e for e in payload["verdicts"] if e["reason"] is None]
         assert decided, "healthy verdicts should carry reason=None"
 
@@ -626,7 +672,7 @@ class TestUnknownPropagation:
 
     def test_matrix_reason_is_symmetric(self):
         matrix = step_limited_matrix(small_catalogue())
-        (a, b), reason = next(iter(matrix.reasons.items()))
+        a, b, reason = matrix.degraded_pairs()[0]
         assert matrix.reason(a, b) == reason
         assert matrix.reason(b, a) == reason
         assert matrix.reason(a, a) is None

@@ -136,13 +136,13 @@ class TestEdgeCases:
     def test_empty_catalogue(self):
         matrix = analyze({})
         assert matrix.names == []
-        assert matrix.verdicts == {}
+        assert list(matrix.pairs()) == []
         assert analyze({}, mode="schedule") == []
 
     def test_single_operation(self):
         matrix = analyze({"only": Delete("a/b")})
         assert matrix.names == ["only"]
-        assert matrix.verdicts == {}
+        assert list(matrix.pairs()) == []
         assert analyze({"only": Delete("a/b")}, mode="schedule") == [["only"]]
 
     def test_duplicate_names_rejected(self):

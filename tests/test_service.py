@@ -203,9 +203,7 @@ class TestMatrixAndSchedule:
         assert result["stats"]["operations"] == 3
         assert result["verdicts"], "matrix returned no pairs"
         for entry in result["verdicts"]:
-            reference_verdict = reference.verdicts[
-                (entry["first"], entry["second"])
-            ]
+            reference_verdict = reference.verdict(entry["first"], entry["second"])
             assert entry["verdict"] == reference_verdict.value
 
     def test_schedule_covers_catalogue(self, client):
@@ -458,6 +456,25 @@ class TestPersistence:
                 health = c.healthz()
             # The valid prefix survived; the service booted regardless.
             assert health["status"] == "ok"
+            assert (tmp_path / "cache.json.bak").exists()
+        finally:
+            service.drain(snapshot=False)
+
+    def test_malformed_snapshot_is_salvaged_on_boot(self, tmp_path):
+        cache_path = tmp_path / "cache.json"
+        analyzer = BatchAnalyzer(DetectorConfig())
+        analyzer.analyze(catalogue_from_specs(CATALOGUE))
+        entries = analyzer.cache.export()
+        entries[-1]["verdict"] = "conflicu"  # parseable, but no verdict
+        cache_path.write_text(json.dumps({"version": 1, "entries": entries}))
+
+        with pytest.warns(CacheCorruptWarning):
+            service = make_service(cache_path=str(cache_path))
+        try:
+            with ServiceClient(port=service.port) as c:
+                health = c.healthz()
+            assert health["status"] == "ok"
+            assert len(service.state.cache) == len(entries) - 1
             assert (tmp_path / "cache.json.bak").exists()
         finally:
             service.drain(snapshot=False)
