@@ -2,10 +2,10 @@
 
 The compile layer (:mod:`repro.compile`) owns every pattern-level
 artifact the decision path derives — interned patterns, trunks, spine
-prefixes, bitset mask tables, matching words and profiles.  Detector
-report caches are per detector, so a second catalogue analysed with a
-fresh detector on the *same* compiler isolates the compile layer's
-contribution: it inherits only the compiled artifacts.
+prefixes, bitset mask tables, matching words and profiles.  A second
+catalogue analysed with a fresh detector on the *same* compiler
+isolates the compile layer's contribution: it inherits only the
+compiled artifacts.
 
 Run with ``PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_compile.py -s``.
 """
@@ -27,14 +27,10 @@ TOTAL_OPS = 12 if SMOKE else 64
 #: Budget 1 keeps the (few) update-update pairs sound-but-fast; the
 #: compile cache never touches that path, so letting the bounded search
 #: run long would only dilute what this benchmark measures.  Every read
-#: here is linear, so read-update verdicts are exact either way.
-#:
-#: The detector's *report* cache is off: it deduplicates structurally
-#: identical pairs wholesale (reports included), which hides the decision
-#: path this benchmark exists to measure.  With it off, every query
-#: re-decides and re-builds its witness, sharing only the pattern-level
-#: artifacts its compiler holds.
-DETECTOR_CONFIG = DetectorConfig(exhaustive_cap=1, cache=False)
+#: here is linear, so read-update verdicts are exact either way.  Every
+#: query re-decides and re-builds its witness, sharing only the
+#: pattern-level artifacts its compiler holds.
+DETECTOR_CONFIG = DetectorConfig(exhaustive_cap=1)
 
 #: Entries per memo family of each private compiler.
 COMPILER_SIZE = 4096
@@ -90,9 +86,9 @@ def build_catalogue() -> dict:
 def test_warm_compiler_amortizes_across_catalogues(benchmark):
     """A shared compiler makes the *second* catalogue cheaper than the first.
 
-    Detector caches are per-detector, so this isolates the compile
-    layer's contribution: the second detector starts cold except for the
-    compiled artifacts it inherits through the shared compiler.
+    This isolates the compile layer's contribution: the second detector
+    starts cold except for the compiled artifacts it inherits through
+    the shared compiler.
     """
     catalogue = build_catalogue()
 

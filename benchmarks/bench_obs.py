@@ -66,7 +66,7 @@ def _instances(count: int = 20, size: int = 8):
 
 def _detector_workload(instances):  # type: ignore[no-untyped-def]
     def run() -> None:
-        detector = ConflictDetector(cache=False)
+        detector = ConflictDetector()
         for read, insert, delete in instances:
             detector.read_insert(read, insert)
             detector.read_delete(read, delete)

@@ -67,9 +67,10 @@ import sys
 from collections.abc import Sequence
 
 from repro import obs
-from repro.conflicts.batch import BatchAnalyzer, Operation, VerdictCache
+from repro.conflicts.batch import BatchAnalyzer, Operation
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
 from repro.conflicts.semantics import ConflictKind, ConflictReport, Verdict
+from repro.conflicts.verdict_cache import VerdictCache
 from repro.errors import ReproError
 from repro.lang.analysis import (
     dependence_graph,

@@ -29,7 +29,7 @@ class ClusterConfig:
         queue_depth: each shard's admission queue depth.
         cache_path: shared verdict-cache base path; every shard derives
             its own ``<path>.shard<N>`` snapshot from it (see
-            :meth:`repro.conflicts.batch.VerdictCache.shard_snapshot_path`),
+            :meth:`~repro.conflicts.verdict_cache.VerdictCache.shard_snapshot_path`),
             so no two shards ever write one file.  ``None`` keeps all
             shard caches memory-only.
         snapshot_interval_s: per-shard periodic snapshot interval.

@@ -421,8 +421,8 @@ def global_compiler() -> PatternCompiler:
 def reset_global_compiler() -> None:
     """Reset the process-wide compiler (tests, benchmark isolation).
 
-    Bumps its intern generation, so detector caches keyed on interned
-    identity can never serve entries minted before the reset.
+    Bumps its intern generation, so memos keyed on interned identity
+    can never serve entries minted before the reset.
     """
     if _GLOBAL is not None:
         _GLOBAL.reset()

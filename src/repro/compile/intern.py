@@ -10,7 +10,7 @@ each *canonical form* to one immutable-by-contract
 ``(interner, generation, ident)`` — which hashes in constant time.
 
 Identity rules (these are what make interned keys safe to embed in
-longer-lived caches, e.g. the detector's verdict cache):
+longer-lived caches, e.g. the compiler's own memo tables):
 
 * **idents are monotonic within a generation** — an entry evicted from
   the intern table and later re-interned receives a *fresh* ident, so a
@@ -45,7 +45,8 @@ class InternedPattern:
     ``pattern`` is the interner's private copy — treat it as read-only.
     Equality and hashing use ``(owner, generation, ident)`` only; the
     canonical form is available as :attr:`key` for interop with
-    string-keyed caches (e.g. :class:`repro.conflicts.batch.VerdictCache`).
+    string-keyed caches (e.g.
+    :class:`repro.conflicts.verdict_cache.VerdictCache`).
     """
 
     __slots__ = ("pattern", "key", "ident", "generation", "owner",

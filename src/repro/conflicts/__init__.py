@@ -5,10 +5,10 @@ from repro.conflicts.batch import (
     BatchAnalyzer,
     CanonicalOp,
     Operation,
-    VerdictCache,
     reference_matrix,
 )
 from repro.conflicts.matrix import ConflictMatrix
+from repro.conflicts.verdict_cache import VerdictCache
 from repro.conflicts.index import (
     PatternIndex,
     StaticProfile,

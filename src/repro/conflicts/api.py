@@ -24,10 +24,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from repro.conflicts.batch import BatchAnalyzer, Operation, VerdictCache
+from repro.conflicts.batch import BatchAnalyzer, Operation
 from repro.conflicts.matrix import ConflictMatrix
 from repro.conflicts.detector import DetectorConfig
 from repro.conflicts.semantics import Verdict
+from repro.conflicts.verdict_cache import VerdictCache
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["AnalysisConfig", "analyze"]

@@ -7,7 +7,7 @@ it one home: a :class:`MetricsRegistry` of named instruments with optional
 ``{label=value}`` dimensions, a process-wide default registry for
 module-level code, and per-instance registries where isolation matters
 (each :class:`~repro.conflicts.detector.ConflictDetector` owns one, so two
-detectors never mix their cache statistics).
+detectors never mix their query statistics).
 
 Metric names follow a ``subsystem.metric`` convention; dimensions are
 rendered Prometheus-style into the key (``conflict.queries_total{path=linear}``).

@@ -3,15 +3,14 @@
 This is the offline half of the telemetry story: the service (or a CLI
 run with ``--trace``) writes JSON-lines records, and ``repro report``
 turns one or more of those files into the tables an operator actually
-wants — per-phase p50/p95/p99, per-detector-path breakdowns, cache hit
-rates, and per-route/verdict access summaries.
+wants — per-phase p50/p95/p99, per-detector-path breakdowns, and
+per-route/verdict access summaries with their verdict-cache hit rates.
 
 Two record shapes are understood, distinguished per line:
 
 * **span records** (``Span.to_dict``): have ``"name"`` and ``"dur_ms"``.
   Grouped by span name; ``detector.dispatch`` spans additionally break
-  down by their ``attrs.path`` (linear/general/complex) and feed the
-  cache hit-rate from their ``cached`` attribute.
+  down by their ``attrs.path`` (linear/general/complex).
 * **access records** (the service's ``--access-log``): have
   ``"type": "access"``.  Grouped by route; verdict and outcome counts,
   queue-wait and total-latency percentiles, cache hit rate.
@@ -109,7 +108,6 @@ def build_report(
         {"records": {"spans": N, "access": N, "skipped": N},
          "phases": {span_name: {count, total_ms, p50_ms, p95_ms, p99_ms, max_ms}},
          "detectors": {path: {... same keys ..., "verdicts": {verdict: N}}},
-         "cache": {"lookups": N, "hits": N, "hit_rate": f|null},
          "routes": {route: {count, errors, degraded, cache_hit_rate,
                             p50_ms, p95_ms, p99_ms,
                             queue_wait_p95_ms, verdicts: {verdict: N}}},
@@ -122,8 +120,6 @@ def build_report(
     phases: dict[str, list[float]] = {}
     detector_durations: dict[str, list[float]] = {}
     detector_verdicts: dict[str, dict[str, int]] = {}
-    cache_lookups = 0
-    cache_hits = 0
     request_ids: set[str] = set()
     spans_with_id = 0
 
@@ -143,10 +139,6 @@ def build_report(
             if verdict is not None:
                 by_verdict = detector_verdicts.setdefault(path, {})
                 by_verdict[str(verdict)] = by_verdict.get(str(verdict), 0) + 1
-            if "cached" in attrs:
-                cache_lookups += 1
-                if attrs["cached"]:
-                    cache_hits += 1
 
     routes: dict[str, dict] = {}
     access_with_id = 0
@@ -228,11 +220,6 @@ def build_report(
             }
             for path, values in sorted(detector_durations.items())
         },
-        "cache": {
-            "lookups": cache_lookups,
-            "hits": cache_hits,
-            "hit_rate": _ratio(cache_hits, cache_lookups),
-        },
         "routes": report_routes,
         "request_ids": {
             "spans_with_id": spans_with_id,
@@ -289,14 +276,6 @@ def render_report(report: dict) -> str:
                 f" {_fmt(stats['p99_ms'])} {_fmt(stats['max_ms'])}"
                 + (f"  [{verdicts}]" if verdicts else "")
             )
-
-    cache = report["cache"]
-    if cache["lookups"]:
-        lines.append("")
-        lines.append(
-            f"cache: {cache['hits']}/{cache['lookups']} hits"
-            f" ({_fmt_rate(cache['hit_rate'])})"
-        )
 
     if report["routes"]:
         lines.append("")

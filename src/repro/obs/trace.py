@@ -21,7 +21,6 @@ Enabling:
 
 * programmatically — :func:`enable` (optionally with sinks), :func:`disable`,
   or the scoped :func:`tracing` context manager;
-* per-detector — ``ConflictDetector(trace=True)``;
 * from the environment — set ``REPRO_TRACE`` before the process starts:
   ``REPRO_TRACE=1`` (or ``mem``) traces into an in-memory ring buffer,
   any other value is treated as a JSON-lines output path.

@@ -7,8 +7,9 @@ pairs to a *decision backend*:
 * :class:`InProcessBackend` routes the batch through :func:`repro.analyze`
   in pairs mode, so replication traffic exercises the whole catalogue
   pipeline (static index discharge, canonical dedup, the shared
-  :class:`~repro.conflicts.batch.VerdictCache`) and repeated patterns
-  across sync rounds hit the cache instead of the decision procedures.
+  :class:`~repro.conflicts.verdict_cache.VerdictCache`) and repeated
+  patterns across sync rounds hit the cache instead of the decision
+  procedures.
 * :class:`ServiceBackend` asks a live ``repro serve`` or ``repro cluster
   serve`` endpoint over ``POST /v1/check`` — the same engine behind a
   process boundary, so scenarios double as realistic service traffic.
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.conflicts.api import AnalysisConfig, analyze
-from repro.conflicts.batch import VerdictCache
+from repro.conflicts.verdict_cache import VerdictCache
 from repro.conflicts.detector import DetectorConfig
 from repro.conflicts.semantics import Verdict
 from repro.replication.log import LoggedOp, PairKey, pair_key

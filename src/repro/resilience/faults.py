@@ -12,8 +12,8 @@ seeded decisions:
 * ``slow_decide``  — sleep before deciding a pair, driving chunk
   timeouts and deadline budgets;
 * ``cache_corrupt`` — corrupt the bytes of a
-  :meth:`~repro.conflicts.batch.VerdictCache.save` snapshot, driving the
-  salvage path in ``VerdictCache.load``.
+  :meth:`~repro.conflicts.verdict_cache.VerdictCache.save` snapshot,
+  driving the salvage path in ``VerdictCache.load``.
 
 Three **cluster-level** rules drive the sharded service tier
 (:mod:`repro.cluster`); their injection-site keys embed the shard id and

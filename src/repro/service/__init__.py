@@ -7,9 +7,10 @@ is a stdlib-only HTTP/JSON daemon that owns
 
 * one process-global warm :class:`repro.compile.PatternCompiler` (every
   request after the first hits compiled artifacts),
-* one persistent :class:`repro.conflicts.batch.VerdictCache` (loaded —
-  with corrupt-snapshot salvage — on boot, snapshotted atomically to
-  disk on a timer and again on drain),
+* one persistent
+  :class:`repro.conflicts.verdict_cache.VerdictCache` (loaded — with
+  corrupt-snapshot salvage — on boot, snapshotted atomically to disk on
+  a timer and again on drain),
 * an admission-control layer: a bounded queue in front of a fixed pool
   of decision workers, so overload answers ``429`` immediately instead
   of queueing unboundedly or hanging, and

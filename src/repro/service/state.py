@@ -35,9 +35,10 @@ import time
 from collections.abc import Mapping
 
 from repro.compile.compiler import global_compiler
-from repro.conflicts.batch import BatchAnalyzer, CanonicalOp, VerdictCache
+from repro.conflicts.batch import BatchAnalyzer, CanonicalOp
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
 from repro.conflicts.semantics import ConflictReport, Verdict
+from repro.conflicts.verdict_cache import VerdictCache
 from repro.errors import ServiceProtocolError
 from repro.obs.metrics import MetricsRegistry, global_metrics
 from repro.resilience import faults
@@ -321,8 +322,8 @@ class ServiceState:
         """``GET /metrics``: service + engine + compile counters, one view.
 
         The service registry (request/admission/cache counters, plus
-        every per-request detector's ``conflict.*`` and ``cache.*``
-        instruments — they are constructed on this registry) is overlaid
+        every per-request detector's ``conflict.*`` instruments — they
+        are constructed on this registry) is overlaid
         on the process-global one, which carries the shared compiler's
         ``compile.<family>.{hits,misses,evictions}`` traffic.
         """

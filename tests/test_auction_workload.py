@@ -1,12 +1,10 @@
-"""Tests for the auction-site workload and detector caching behavior."""
+"""Tests for the auction-site workload."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.conflicts.detector import ConflictDetector
 from repro.conflicts.semantics import Verdict
-from repro.operations.ops import Delete, Insert, Read
+from repro.operations.ops import Delete, Read
 from repro.patterns.embedding import evaluate
 from repro.patterns.xpath import parse_xpath
 from repro.xml.random_trees import auction_site
@@ -58,43 +56,3 @@ class TestAuctionSite:
             detector.read_delete(read_people, close_auctions).verdict
             is Verdict.NO_CONFLICT
         )
-
-
-class TestDetectorCache:
-    def test_cache_hit_on_repeat_query(self):
-        detector = ConflictDetector()
-        read, insert = Read("a/b"), Insert("a", "<b/>")
-        first = detector.read_insert(read, insert)
-        hits_before = detector.cache_hits
-        second = detector.read_insert(Read("a/b"), Insert("a", "<b/>"))
-        assert detector.cache_hits == hits_before + 1
-        assert first.verdict == second.verdict
-
-    def test_cache_respects_structure_not_identity(self):
-        detector = ConflictDetector()
-        detector.read_insert(Read("a/b"), Insert("a", "<b/>"))
-        # Same structure built differently must hit.
-        pattern = parse_xpath("a/b")
-        detector.read_insert(Read(pattern), Insert(parse_xpath("a"), parse("<b/>")))
-        assert detector.cache_hits >= 1
-
-    def test_different_x_misses(self):
-        detector = ConflictDetector()
-        detector.read_insert(Read("a//b"), Insert("a", "<b/>"))
-        misses = detector.cache_misses
-        detector.read_insert(Read("a//b"), Insert("a", "<c/>"))
-        assert detector.cache_misses == misses + 1
-
-    def test_cache_can_be_disabled(self):
-        detector = ConflictDetector(cache=False)
-        detector.read_insert(Read("a/b"), Insert("a", "<b/>"))
-        detector.read_insert(Read("a/b"), Insert("a", "<b/>"))
-        assert detector.cache_hits == 0
-
-    def test_cached_reports_are_independent(self):
-        """Mutating one returned report must not corrupt the cache."""
-        detector = ConflictDetector()
-        first = detector.read_insert(Read("a/b"), Insert("a", "<b/>"))
-        first.notes.append("caller scribbles")
-        second = detector.read_insert(Read("a/b"), Insert("a", "<b/>"))
-        assert "caller scribbles" not in second.notes

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.conflicts.api import AnalysisConfig, analyze
 from repro.conflicts.batch import (
     BatchAnalyzer,
     CanonicalOp,
@@ -17,6 +18,7 @@ from repro.conflicts.batch import (
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
 from repro.conflicts.semantics import Verdict
 from repro.errors import ConflictEngineError
+from repro.obs.metrics import MetricsRegistry
 from repro.operations.ops import Delete, Insert, Read
 from repro.xml.isomorphism import canonical_form
 
@@ -104,19 +106,6 @@ class TestVerdictCache:
         cache.save(path)
         assert len(VerdictCache.load(path)) == len(cache)
 
-    def test_absorb_detector(self):
-        detector = ConflictDetector()
-        detector.read_delete(Read("bib/book/title"), Delete("bib/book"))
-        cache = VerdictCache()
-        assert cache.absorb_detector(detector) == 1
-        # The absorbed verdict pre-answers the matching matrix cell.
-        analyzer = BatchAnalyzer(cache=cache)
-        analyzer.analyze(
-            {"titles": Read("bib/book/title"), "purge": Delete("bib/book")}
-        )
-        counters = analyzer.metrics()["counters"]
-        assert counters.get("batch.pairs_cached", 0) == 1
-
     def test_fingerprints_keep_configurations_apart(self):
         cache = VerdictCache()
         op_a = CanonicalOp.from_operation(Insert("a/b", "<x/>"))
@@ -191,15 +180,6 @@ class TestBatchAnalyzer:
     def test_remove_unknown_name_rejected(self):
         with pytest.raises(ConflictEngineError):
             BatchAnalyzer().remove_op("ghost")
-
-    def test_warm_detector_is_absorbed(self):
-        detector = ConflictDetector()
-        detector.read_delete(Read("bib/book/title"), Delete("bib/book"))
-        analyzer = BatchAnalyzer(detector=detector)
-        analyzer.analyze(
-            {"titles": Read("bib/book/title"), "purge": Delete("bib/book")}
-        )
-        assert analyzer.metrics()["counters"].get("batch.pairs_cached", 0) == 1
 
     def test_shared_cache_across_analyzers(self):
         cache = VerdictCache()
@@ -281,6 +261,24 @@ class TestParallelEquivalence:
         assert counters.get("batch.worker_chunks", 0) >= 1
         assert any(k.startswith("batch.worker_pairs{") for k in counters)
         assert analyzer.metrics()["gauges"]["batch.workers_used"] >= 1
+
+    def test_serial_and_parallel_count_the_same_queries(self):
+        """Serial decisions reach the analyzer's registry, as pool ones do."""
+        queries = {}
+        for jobs in (1, 2):
+            registry = MetricsRegistry()
+            config = AnalysisConfig(jobs=jobs, registry=registry)
+            analyze(OPERATIONS, config=config)
+            counters = registry.snapshot()["counters"]
+            if counters.get("batch.pool_failures"):
+                pytest.skip("process pool unavailable in this environment")
+            queries[jobs] = {
+                key: count
+                for key, count in counters.items()
+                if key.startswith("conflict.queries_total{")
+            }
+        assert queries[1]
+        assert queries[1] == queries[2]
 
     def test_parallel_worker_histograms_absorbed(self):
         """Workers ship bucket-exact histogram deltas; the parent's

@@ -255,8 +255,7 @@ class TestObservabilityFlags:
         )
         assert code == 1
         names = {json.loads(line)["name"] for line in path.read_text().splitlines()}
-        assert {"detector.dispatch", "linear.read_insert",
-                "detector.cache.lookup"} <= names
+        assert {"detector.dispatch", "linear.read_insert"} <= names
 
 
 CATALOGUE = """

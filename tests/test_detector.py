@@ -6,6 +6,7 @@ import pytest
 
 from repro.conflicts.detector import ConflictDetector
 from repro.conflicts.semantics import ConflictKind, Verdict, is_witness
+from repro.conflicts.witness_min import minimize_witness
 from repro.operations.ops import Delete, Insert, Read
 
 
@@ -83,19 +84,18 @@ class TestWitnessMinimization:
     def test_minimized_witnesses_respect_bound(self):
         from repro.conflicts.general import witness_size_bound
 
-        detector = ConflictDetector(minimize_witnesses=True)
         read, delete = Read("a//c"), Delete("a/b")
-        report = detector.read_delete(read, delete)
+        report = ConflictDetector().read_delete(read, delete)
         assert report.verdict is Verdict.CONFLICT
-        assert report.witness.size <= witness_size_bound(read, delete)
-        assert is_witness(report.witness, read, delete, ConflictKind.NODE)
+        minimized = minimize_witness(report.witness, read, delete)
+        assert minimized.size <= witness_size_bound(read, delete)
+        assert is_witness(minimized, read, delete, ConflictKind.NODE)
 
     def test_minimization_never_smaller_than_needed(self):
-        plain = ConflictDetector().read_delete(Read("a//c"), Delete("a/b"))
-        minimized = ConflictDetector(minimize_witnesses=True).read_delete(
-            Read("a//c"), Delete("a/b")
-        )
-        assert minimized.witness.size <= plain.witness.size
+        read, delete = Read("a//c"), Delete("a/b")
+        report = ConflictDetector().read_delete(read, delete)
+        minimized = minimize_witness(report.witness, read, delete)
+        assert minimized.size <= report.witness.size
 
 
 class TestWitnessesAlwaysVerify:
@@ -159,11 +159,6 @@ class TestDetectorConfig:
         assert base.fingerprint() != DetectorConfig(
             kind=ConflictKind.TREE
         ).fingerprint()
-        # cache / minimize_witnesses / trace do not change verdicts.
-        assert base.fingerprint() == DetectorConfig(cache=False).fingerprint()
-        assert base.fingerprint() == DetectorConfig(
-            minimize_witnesses=True
-        ).fingerprint()
 
     def test_frozen(self):
         from repro.conflicts.detector import DetectorConfig
@@ -200,16 +195,3 @@ class TestPolymorphicDetect:
     def test_rejects_non_operations(self):
         with pytest.raises(TypeError):
             ConflictDetector().detect(Read("a"), "delete a/b")
-
-
-class TestCachedEntries:
-    def test_yields_verdicts_with_fingerprint(self):
-        detector = ConflictDetector()
-        detector.read_delete(Read("bib/book/title"), Delete("bib/book"))
-        entries = list(detector.cached_entries())
-        assert len(entries) == 1
-        fingerprint, key_a, key_b, verdict = entries[0]
-        assert fingerprint == detector.config.fingerprint()
-        assert verdict is Verdict.CONFLICT
-        kinds = {key_a[0], key_b[0]}
-        assert kinds == {"Read", "Delete"}

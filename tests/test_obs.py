@@ -2,7 +2,7 @@
 
 Covers the tracing spans (nesting, timing, sinks), the metrics registry
 (counters/gauges/histograms, snapshot/reset), the engine instrumentation
-(detector dispatch paths, cache counters, general-engine search counters),
+(detector dispatch paths, general-engine search counters),
 the backward-compatibility contract on ``ConflictReport.stats``, and the
 ``--stats`` / ``--trace`` CLI surface.
 """
@@ -264,26 +264,6 @@ class TestDetectorInstrumentation:
         assert counters["conflict.queries_total{path=general}"] == 1
         assert counters["conflict.queries_total{path=complex}"] == 1
 
-    def test_cache_counters_and_readonly_properties(self):
-        detector = ConflictDetector()
-        query = (Read("a//b"), Delete("a/b"))
-        detector.read_delete(*query)
-        detector.read_delete(*query)
-        assert detector.cache_misses == 1
-        assert detector.cache_hits == 1
-        with pytest.raises(AttributeError):
-            detector.cache_hits = 5  # read-only property now
-        assert detector.metrics()["counters"]["cache.hits"] == 1
-
-    def test_disabled_cache_counts_neither_hits_nor_misses(self):
-        detector = ConflictDetector(cache=False)
-        query = (Read("a//b"), Delete("a/b"))
-        detector.read_delete(*query)
-        detector.read_delete(*query)
-        assert detector.cache_hits == 0
-        assert detector.cache_misses == 0
-        assert "cache.misses" not in detector.metrics()["counters"]
-
     def test_detectors_have_isolated_registries(self):
         one, two = ConflictDetector(), ConflictDetector()
         one.read_delete(Read("a/b"), Delete("a/b"))
@@ -297,8 +277,8 @@ class TestDetectorInstrumentation:
         two.read_delete(Read("a/c"), Delete("a/c"))
         assert shared.counter("conflict.queries_total", path="linear") == 2
 
-    def test_cached_witness_is_detached(self):
-        """Mutating a returned witness must not poison the cache."""
+    def test_returned_witness_is_detached(self):
+        """Mutating a returned witness must not change a repeat answer."""
         detector = ConflictDetector()
         query = (Read("a//b"), Delete("a//b"))
         first = detector.read_delete(*query)
@@ -306,20 +286,17 @@ class TestDetectorInstrumentation:
         size_before = first.witness.size
         first.witness.add_child(first.witness.root, "poison")
         second = detector.read_delete(*query)
-        assert detector.cache_hits == 1
         assert second.witness is not None
         assert second.witness.size == size_before
         assert "poison" not in second.witness.labels()
 
-    def test_spans_cover_dispatch_algorithm_and_cache(self):
+    def test_spans_cover_dispatch_and_algorithm(self):
         with obs.tracing() as ring:
             detector = ConflictDetector()
             detector.read_insert(Read("a/b"), Insert("a/c", "<b/>"))
         names = {r["name"] for r in ring.spans()}
         assert "detector.dispatch" in names
         assert "linear.read_insert" in names
-        assert "detector.cache.lookup" in names
-        assert "detector.cache.store" in names
 
     def test_general_path_search_counters_batch_to_global(self):
         # search.* counters are batched per query and always on;
@@ -342,7 +319,7 @@ class TestDetectorInstrumentation:
 
     def test_gated_instruments_silent_when_disabled(self):
         assert not obs.enabled()
-        detector = ConflictDetector(cache=False)
+        detector = ConflictDetector()
         detector.read_delete(Read("a//b"), Delete("a/b"))
         counters = obs.global_metrics().snapshot()["counters"]
         assert "nfa.built" not in counters
@@ -362,7 +339,7 @@ class TestDetectorInstrumentation:
     def test_bitkernel_counters(self):
         # The default bitset kernel builds mask tables instead of NFAs.
         with obs.tracing():
-            detector = ConflictDetector(cache=False)
+            detector = ConflictDetector()
             detector.read_delete(Read("a//b"), Delete("a/b"))
         counters = obs.global_metrics().snapshot()["counters"]
         assert counters.get("bitkernel.tables_built", 0) >= 1
@@ -396,14 +373,6 @@ class TestStatsBackwardCompat:
         )
         assert self.GENERAL_KEYS <= set(report.stats)
         assert report.stats["heuristic_candidates"] == 0
-
-    def test_stats_survive_the_detector_cache(self):
-        detector = ConflictDetector()
-        query = (Read("a[b]//c"), Insert("a/c", "<c/>"))
-        first = detector.read_insert(*query)
-        second = detector.read_insert(*query)  # cached copy
-        assert set(first.stats) == set(second.stats)
-        assert self.GENERAL_KEYS <= set(second.stats)
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +419,6 @@ class TestCliObservability:
         assert "path: linear" in out
         assert "detector.dispatch" in out
         assert "conflict.queries_total{path=linear}" in out
-        assert "cache.misses" in out
 
     def test_check_stats_general_path(self, capsys):
         code = main(
@@ -482,7 +450,6 @@ class TestCliObservability:
         names = {r["name"] for r in records}
         assert "detector.dispatch" in names        # dispatch phase
         assert "linear.read_insert" in names       # algorithm phase
-        assert "detector.cache.lookup" in names    # cache phase
         for record in records:
             assert isinstance(record["dur_ms"], float)
             assert isinstance(record["attrs"], dict)
@@ -894,7 +861,7 @@ class TestReportCli:
         assert main(["report", trace, str(access), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report) >= {
-            "records", "phases", "detectors", "cache", "routes", "request_ids"
+            "records", "phases", "detectors", "routes", "request_ids"
         }
         assert report["records"]["skipped"] == 1
         assert report["records"]["access"] == 1

@@ -170,13 +170,18 @@ class TestDetectorDegradation:
         assert not report.degraded
 
     def test_degraded_verdicts_are_not_cached(self):
-        detector = ConflictDetector(max_steps=1)
-        report = detector.read_delete(Read("a[b]/c"), Delete("a/c"))
-        assert report.degraded
-        assert list(detector.cached_entries()) == []
-        # ... and therefore never leak into a shared verdict cache.
         cache = VerdictCache()
-        assert cache.absorb_detector(detector) == 0
+        budgeted = BatchAnalyzer(
+            detector=ConflictDetector(max_steps=1), jobs=1, cache=cache
+        )
+        assert budgeted.analyze(small_catalogue()).degraded_pairs()
+        # A degraded UNKNOWN reflects this run's budget, not the pair, so
+        # it never reaches the shared verdict cache ...
+        assert len(cache) == 0
+        # ... which an unbudgeted run then fills with real verdicts.
+        healthy = BatchAnalyzer(jobs=1, cache=cache)
+        assert healthy.analyze(small_catalogue()).degraded_pairs() == []
+        assert len(cache) > 0
 
     def test_budget_excluded_from_fingerprint(self):
         # Degraded verdicts are never cached, so budget knobs must not
