@@ -85,17 +85,16 @@ def test_exhaustive_growth_series(benchmark):
 
 
 def test_random_pair_conflict_rate(benchmark):
-    """E9: observed conflict/unknown mix over random update pairs."""
+    """E9: observed conflict/no-conflict/unknown mix over random update pairs."""
 
     def run():
-        outcomes = {"conflict": 0, "unknown": 0}
+        outcomes = {verdict.value: 0 for verdict in Verdict}
         for seed in range(20):
             rng = random.Random(seed)
             op1 = random_insert(2, alphabet=("a", "b"), seed=rng)
             op2 = random_delete(2, ("a", "b"), seed=rng)
             verdict = detect_update_update(op1, op2, exhaustive_cap=3).verdict
-            key = "conflict" if verdict is Verdict.CONFLICT else "unknown"
-            outcomes[key] += 1
+            outcomes[verdict.value] += 1
         return outcomes
 
     outcomes = benchmark.pedantic(run, rounds=1, iterations=1)

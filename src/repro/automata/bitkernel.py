@@ -24,11 +24,15 @@ and reused across every alphabet a pattern pair induces.
 
 Two decision loops run on the tables:
 
-* :func:`joint_shortest_word_bits` — BFS over pairs of determinized
-  subsets in sorted-alphabet order with parent pointers, so it returns
-  the (length, lexicographically) least word of the intersection, the
-  same word :meth:`repro.automata.nfa.NFA.shortest_accepted_word` finds
-  on the eager NFA product;
+* :func:`guarded_product_word` — BFS over pairs of determinized subsets
+  in sorted-alphabet order with parent pointers, ending at the first
+  pair that meets a caller's goal and pruning one side's *dead* states,
+  so it returns the (length, lexicographically) least such word.  With
+  "both sides accept" as the goal it is :func:`joint_shortest_word_bits`,
+  whose word of the intersection is the one
+  :meth:`repro.automata.nfa.NFA.shortest_accepted_word` finds on the
+  eager NFA product; the Section 6 commutation rules for linear updates
+  (:mod:`repro.conflicts.complex`) give it their own goals;
 * :func:`bitset_matching_profile` — the one-pass dynamic program of the
   REMARK after Theorem 1: the ``(i, j)`` reachability of "trunk consumed
   ``i`` spine nodes, read consumed ``j``" packed into one integer, with
@@ -45,7 +49,7 @@ search — live in ``tests/test_bitkernel.py`` and
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.patterns.pattern import WILDCARD, Axis, TreePattern
 from repro.resilience.budget import checkpoint
@@ -56,6 +60,7 @@ __all__ = [
     "BitsetAutomaton",
     "spine_spec",
     "joint_shortest_word_bits",
+    "guarded_product_word",
     "bitset_matching_profile",
 ]
 
@@ -311,7 +316,7 @@ class BitsetAutomaton:
                 return False
         return bool(subset & self.accepting)
 
-    def select(self, tree: XMLTree) -> set[NodeId]:
+    def select(self, tree: XMLTree, below: int | None = None) -> set[NodeId]:
         """The nodes of ``tree`` whose root-to-node label path is accepted.
 
         For the strong-side automaton of a linear pattern ``p`` without
@@ -324,6 +329,11 @@ class BitsetAutomaton:
         without a row of their own (document text, fresh witness labels)
         all step as ``None``, which keeps the step memo bounded by the
         pattern's labels rather than the documents'.
+
+        ``below`` places ``tree`` as a subtree under a node whose path
+        reached that subset — the nodes ``p`` selects in a copy of ``X``
+        grafted there.  ``None`` (the default) reads ``tree`` as the
+        whole document, from the start state.
         """
         label_rows = self.table.label_rows
         steps = self._steps
@@ -334,9 +344,10 @@ class BitsetAutomaton:
             return self.step(*key) if below is None else below
 
         accepting = self.accepting
+        start = self.start_mask if below is None else below
         return {
             node
-            for node, subset in tree.fold_paths(self.start_mask, advance)
+            for node, subset in tree.fold_paths(start, advance)
             if subset & accepting
         }
 
@@ -359,12 +370,43 @@ def joint_shortest_word_bits(
     the first accepting discovery, so the result is the (length, lex)-least
     word — exactly the word the eager NFA product's
     :meth:`~repro.automata.nfa.NFA.shortest_accepted_word` returns, which
-    the differential suite pins.  A cooperative budget checkpoint per
-    expanded pair keeps pathological products abortable.
+    the differential suite pins.  It is :func:`guarded_product_word`
+    with "both sides accept" as the goal and nothing dead.
+    """
+    left_accepting, right_accepting = left.accepting, right.accepting
+    return guarded_product_word(
+        left,
+        right,
+        alphabet,
+        lambda ls, rs: bool(ls & left_accepting and rs & right_accepting),
+    )
+
+
+def guarded_product_word(
+    left: BitsetAutomaton,
+    right: BitsetAutomaton,
+    alphabet: tuple[str, ...],
+    goal: Callable[[int, int], bool],
+    dead: int = 0,
+) -> list[str] | None:
+    """A shortest word whose subset pair meets ``goal``, or ``None``.
+
+    BFS over pairs of determinized subsets in alphabet order, with parent
+    pointers for reconstruction; the first discovered pair meeting
+    ``goal(left_subset, right_subset)`` ends the walk, so the word is the
+    (length, lex)-least one.  A pair whose right subset meets the
+    ``dead`` mask is pruned — no word through it is extended or returned
+    — and so is a pair with an empty subset on either side, so ``goal``
+    only ever sees live subsets and must be false on an empty one.  The
+    reachable pairs are finite, so ``None`` is exact: no word of any
+    length meets the goal.  A cooperative budget checkpoint per expanded
+    pair keeps pathological products abortable.
     """
     shift = right.table.size
     left_start, right_start = left.start_mask, right.start_mask
-    if (left_start & left.accepting) and (right_start & right.accepting):
+    if right_start & dead:
+        return None
+    if goal(left_start, right_start):
         return []
     parent: dict[int, tuple[int, str]] = {}
     seen = {(left_start << shift) | right_start}
@@ -378,18 +420,17 @@ def joint_shortest_word_bits(
             if not lt:
                 continue
             rt = right.step(rs, symbol)
-            if not rt:
+            if not rt or rt & dead:
                 continue
             target = (lt << shift) | rt
             if target in seen:
                 continue
             parent[target] = (source, symbol)
-            if (lt & left.accepting) and (rt & right.accepting):
+            if goal(lt, rt):
                 word: list[str] = []
-                current = target
-                while current in parent:
-                    current, sym = parent[current]
-                    word.append(sym)
+                while target in parent:
+                    target, symbol = parent[target]
+                    word.append(symbol)
                 word.reverse()
                 return word
             seen.add(target)

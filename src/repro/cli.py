@@ -4,7 +4,8 @@ The subcommands expose the library's main entry points:
 
 * ``eval``      — evaluate an XPath pattern against a document;
 * ``check``     — decide a read-update conflict (the core question);
-* ``commute``   — decide whether two updates commute;
+* ``commute``   — decide whether two updates commute (exact for linear
+  updates without value tests);
 * ``matrix``    — decide every pair of a named operation catalogue;
 * ``schedule``  — partition a catalogue into interference-free batches;
 * ``analyze``   — dependence analysis / optimization of a pidgin program;
@@ -229,7 +230,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_json_arg(p_check)
     p_check.set_defaults(handler=_cmd_check)
 
-    p_commute = add_command("commute", help="decide whether two updates commute")
+    p_commute = add_command(
+        "commute",
+        help="decide whether two updates commute (exact for identical "
+        "updates and for linear ones without value tests)",
+    )
     for index in ("1", "2"):
         group2 = p_commute.add_mutually_exclusive_group(required=True)
         group2.add_argument(f"--insert{index}", help=f"update {index}: insert XPath")
@@ -237,7 +242,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p_commute.add_argument(
             f"--xml{index}", default="<x/>", help=f"XML for --insert{index}"
         )
-    p_commute.add_argument("--budget", type=int, default=4)
+    p_commute.add_argument(
+        "--budget",
+        type=int,
+        default=4,
+        help="size cap of the witness search that branching and value-test "
+        "pairs take (exit 2 when it finds no witness)",
+    )
     _add_resilience_args(p_commute)
     p_commute.add_argument("--witness", action="store_true")
     _add_json_arg(p_commute)

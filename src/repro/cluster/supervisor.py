@@ -90,6 +90,18 @@ class ShardHandle:
         self.last_exit_code: int | None = None
         self.booted_at = 0.0
 
+    def is_live(self) -> bool:
+        """Live, with a process that has not exited.
+
+        The monitor notices an exit only on its next tick; polling here
+        keeps a dead shard from counting as live in between.
+        """
+        return (
+            self.state == "live"
+            and self.proc is not None
+            and self.proc.poll() is None
+        )
+
     def view(self) -> dict:
         """A detached JSON-able snapshot for ``/healthz``."""
         return {
@@ -199,7 +211,7 @@ class ShardSupervisor:
             return {
                 handle.shard_id: ("127.0.0.1", handle.port)
                 for handle in self._handles.values()
-                if handle.state == "live" and handle.port is not None
+                if handle.is_live() and handle.port is not None
             }
 
     def live_shards(self) -> list[int]:
@@ -207,7 +219,7 @@ class ShardSupervisor:
             return sorted(
                 handle.shard_id
                 for handle in self._handles.values()
-                if handle.state == "live"
+                if handle.is_live()
             )
 
     def generation(self, shard_id: int) -> int:

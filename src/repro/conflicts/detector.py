@@ -9,13 +9,16 @@
   (:mod:`repro.conflicts.general`): sound heuristics, then bounded
   exhaustive search, complete when the budget covers the Lemma 11 bound;
 * update-update queries → the value-semantics commutativity engine
-  (:mod:`repro.conflicts.complex`).
+  (:mod:`repro.conflicts.complex`): identical operations and linear
+  updates without value tests are decided exactly, by commutation rules
+  that extend the paper; the rest go to a bounded search that answers
+  ``CONFLICT`` or ``UNKNOWN``.
 
 Patterns carrying value tests (``[quantity < 10]``) are stripped before
-detection — removing a test only widens what a pattern can match, so the
-analysis is a sound over-approximation (it may report a conflict that the
-tests would have ruled out, never the reverse); a note records when this
-happened.
+the branching-read engine and the update-update search — removing a test
+only widens what a pattern can match, so the analysis is a sound
+over-approximation (it may report a conflict that the tests would have
+ruled out, never the reverse); a note records when this happened.
 
 Typical use::
 
@@ -39,7 +42,12 @@ from repro.conflicts.linear import (
     detect_read_delete_linear,
     detect_read_insert_linear,
 )
-from repro.conflicts.semantics import ConflictKind, ConflictReport, Verdict
+from repro.conflicts.semantics import (
+    ConflictKind,
+    ConflictReport,
+    Verdict,
+    strip_value_tests,
+)
 from repro.errors import BudgetExceeded
 from repro.obs.metrics import MetricsRegistry
 from repro.operations.ops import Delete, Insert, Read, UpdateOp
@@ -228,7 +236,7 @@ class ConflictDetector:
         """
         notes: list[str] = []
         if not read.pattern.is_linear:
-            read, insert, notes = self._strip(read, insert)
+            read, insert, notes = strip_value_tests(read, insert)
         report = self._dispatch(read, insert)
         report.notes.extend(notes)
         return report
@@ -241,7 +249,7 @@ class ConflictDetector:
         """
         notes = []
         if not read.pattern.is_linear:
-            read, delete, notes = self._strip(read, delete)
+            read, delete, notes = strip_value_tests(read, delete)
         report = self._dispatch(read, delete)
         report.notes.extend(notes)
         return report
@@ -259,9 +267,13 @@ class ConflictDetector:
     # ------------------------------------------------------------------
 
     def update_update(self, op1: UpdateOp, op2: UpdateOp) -> ConflictReport:
-        """May the two updates fail to commute (value semantics)?"""
-        op1, op2, notes = self._strip(op1, op2)
-        report = self._decide(
+        """May the two updates fail to commute (value semantics)?
+
+        The operations go to :func:`detect_update_update` as given: its
+        exact rules apply only to patterns without value tests, and only
+        the search behind them runs on stripped patterns.
+        """
+        return self._decide(
             "complex",
             ConflictKind.VALUE,
             lambda: detect_update_update(
@@ -269,10 +281,9 @@ class ConflictDetector:
                 op2,
                 exhaustive_cap=self.exhaustive_cap,
                 use_heuristics=self.use_heuristics,
+                compiler=self._compiler,
             ),
         )
-        report.notes.extend(notes)
-        return report
 
     # ------------------------------------------------------------------
     # Internals
@@ -361,24 +372,3 @@ class ConflictDetector:
             reason=exc.reason,
         )
 
-    @staticmethod
-    def _strip(first, second):  # type: ignore[no-untyped-def]
-        """Strip value tests from both operations' patterns, noting it."""
-        notes: list[str] = []
-
-        def strip_op(op):  # type: ignore[no-untyped-def]
-            if not op.pattern.has_value_tests():
-                return op
-            notes.append(
-                "value tests were stripped from a pattern; the verdict is a "
-                "sound over-approximation (conflicts may be spurious, "
-                "no-conflict verdicts are exact)"
-            )
-            stripped = op.pattern.strip_value_tests()
-            if isinstance(op, Read):
-                return Read(stripped)
-            if isinstance(op, Insert):
-                return Insert(stripped, op.subtree)
-            return Delete(stripped)
-
-        return strip_op(first), strip_op(second), notes

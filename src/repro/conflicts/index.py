@@ -157,9 +157,10 @@ def _orient(
     """Return ``(read, update)`` or ``None`` when the pair is not indexable.
 
     Read/read pairs never conflict (the trivial path upstream handles
-    them); update/update pairs are *never* discharged because the
-    update/update engine cannot certify ``NO_CONFLICT`` — discharging one
-    would break byte-identity with the index-off baseline.
+    them).  Update/update pairs are *never* discharged: the engine
+    certifies ``NO_CONFLICT`` for linear ones, but no discharge rule has
+    been re-proved for update pairs (the read/update chain clash does
+    not carry over to branching updates).
     """
     if first.is_read and not second.is_read:
         return first, second

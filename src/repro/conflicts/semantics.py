@@ -39,6 +39,7 @@ __all__ = [
     "is_node_conflict_witness",
     "is_tree_conflict_witness",
     "is_value_conflict_witness",
+    "strip_value_tests",
 ]
 
 
@@ -105,6 +106,38 @@ class ConflictReport:
                 "verdict is UNKNOWN; inspect .verdict instead of .conflict"
             )
         return self.verdict is Verdict.CONFLICT
+
+
+#: The caveat :func:`strip_value_tests` records per operation it changed.
+STRIPPED_NOTE = (
+    "value tests were stripped from a pattern; the verdict is a "
+    "sound over-approximation (conflicts may be spurious, "
+    "no-conflict verdicts are exact)"
+)
+
+
+def strip_value_tests(first, second):  # type: ignore[no-untyped-def]
+    """Both operations with value tests stripped from their patterns.
+
+    Removing a test only widens what a pattern can match.  Returns
+    ``(first, second, notes)``: an operation without tests comes back
+    unchanged, and ``notes`` holds one :data:`STRIPPED_NOTE` per
+    operation that was not.
+    """
+    notes: list[str] = []
+
+    def strip(op):  # type: ignore[no-untyped-def]
+        if not op.pattern.has_value_tests():
+            return op
+        notes.append(STRIPPED_NOTE)
+        stripped = op.pattern.strip_value_tests()
+        if isinstance(op, Read):
+            return Read(stripped)
+        if isinstance(op, Insert):
+            return Insert(stripped, op.subtree)
+        return Delete(stripped)
+
+    return strip(first), strip(second), notes
 
 
 def is_node_conflict_witness(tree: XMLTree, read: Read, update: UpdateOp) -> bool:

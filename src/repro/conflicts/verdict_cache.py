@@ -8,7 +8,10 @@ a session's lifetime.  Every key embeds the deciding configuration's
 :meth:`~repro.conflicts.detector.DetectorConfig.fingerprint`, and every
 value is a bare :class:`~repro.conflicts.semantics.Verdict`.  Snapshots
 are version-1 JSON, written durably and salvaged when damaged
-(:meth:`VerdictCache.save`, :meth:`VerdictCache.load`).
+(:meth:`VerdictCache.save`, :meth:`VerdictCache.load`).  Snapshots carry
+only ``conflict`` and ``no-conflict`` entries: those are facts about the
+pair that hold from one engine version to the next, while an ``unknown``
+only records what one engine could not decide.
 """
 
 from __future__ import annotations
@@ -111,7 +114,11 @@ class VerdictCache:
     # ------------------------------------------------------------------
 
     def export(self) -> list[dict]:
-        """Detached JSON-able entries (the :meth:`save` wire format)."""
+        """Detached JSON-able entries (the :meth:`save` wire format).
+
+        ``unknown`` verdicts stay out: a later engine may decide the
+        pair, and a snapshot must not pin it undecided.
+        """
         with self._lock:
             return [
                 {
@@ -121,6 +128,7 @@ class VerdictCache:
                     "verdict": verdict.value,
                 }
                 for (fingerprint, key_a, key_b), verdict in self._verdicts.items()
+                if verdict is not Verdict.UNKNOWN
             ]
 
     def merge(self, entries: "VerdictCache | Iterable[dict]") -> int:
@@ -128,7 +136,8 @@ class VerdictCache:
 
         Existing entries win on collision — both sides decided the same
         canonical pair under the same fingerprint, so the answers agree
-        and keeping ours avoids churn.
+        and keeping ours avoids churn.  ``unknown`` entries, which older
+        snapshots hold, are skipped (see :meth:`export`).
         """
         if isinstance(entries, VerdictCache):
             entries = entries.export()
@@ -140,8 +149,9 @@ class VerdictCache:
                     tuple(entry["a"]),
                     tuple(entry["b"]),
                 )
-                if key not in self._verdicts:
-                    self._verdicts[key] = Verdict(entry["verdict"])
+                verdict = Verdict(entry["verdict"])
+                if verdict is not Verdict.UNKNOWN and key not in self._verdicts:
+                    self._verdicts[key] = verdict
                     added += 1
         return added
 

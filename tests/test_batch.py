@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -119,6 +120,45 @@ class TestVerdictCache:
         assert key_small != key_large
         cache.put(key_small, Verdict.UNKNOWN)
         assert cache.get(key_large) is None
+
+    def test_snapshots_leave_unknown_verdicts_out(self, tmp_path):
+        # An UNKNOWN records what one engine could not decide, not a fact
+        # about the pair: a snapshot must not pin it for later engines.
+        purge = Delete("bib/book/stale")
+        restock = Insert("inv/item", "<note>x</note>")
+        key = VerdictCache.pair_key(
+            DetectorConfig().fingerprint(),
+            CanonicalOp.from_operation(purge),
+            CanonicalOp.from_operation(restock),
+        )
+        decided = VerdictCache.pair_key(
+            DetectorConfig().fingerprint(),
+            CanonicalOp.from_operation(purge),
+            CanonicalOp.from_operation(Insert("bib/book", "<stale/>")),
+        )
+        cache = VerdictCache()
+        cache.put(key, Verdict.UNKNOWN)
+        cache.put(decided, Verdict.CONFLICT)
+        assert [entry["verdict"] for entry in cache.export()] == ["conflict"]
+        # A snapshot written before unknowns were left out still holds one.
+        config, key_a, key_b = key
+        path = tmp_path / "verdicts.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "shard": None,
+            "entries": [{
+                "config": list(config),
+                "a": list(key_a),
+                "b": list(key_b),
+                "verdict": "unknown",
+            }],
+        }))
+        loaded = VerdictCache.load(path)
+        assert key not in loaded
+        matrix = BatchAnalyzer(cache=loaded).analyze(
+            {"purge": purge, "restock": restock}
+        )
+        assert matrix.verdict("purge", "restock") is Verdict.NO_CONFLICT
 
 
 class TestBatchAnalyzer:

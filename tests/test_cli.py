@@ -135,12 +135,20 @@ class TestCommute:
         assert code == 1
 
     def test_commuting_pair_is_unknown(self):
-        # The engine cannot prove commutation (no witness bound), so 2.
+        # Branching updates take the bounded search, which cannot prove
+        # commutation (no witness bound), so 2.
+        code = main(
+            ["commute", "--insert1", "a[c]/b", "--xml1", "<x/>",
+             "--insert2", "a[e]/d", "--xml2", "<y/>", "--budget", "3"]
+        )
+        assert code == 2
+
+    def test_commuting_linear_pair_is_decided(self):
         code = main(
             ["commute", "--insert1", "a/b", "--xml1", "<x/>",
              "--insert2", "a/d", "--xml2", "<y/>", "--budget", "3"]
         )
-        assert code == 2
+        assert code == 0
 
     def test_insert_delete_pair(self):
         code = main(
@@ -318,10 +326,11 @@ class TestMatrix:
         assert main(["matrix", "--ops", path]) == 0
 
     def test_unknown_exit_code(self, tmp_path):
+        # Branching inserts: the bounded search leaves the pair open.
         path = _write_catalogue(
             tmp_path,
-            '{"i1": {"op": "insert", "xpath": "a/b", "xml": "<x/>"},'
-            ' "i2": {"op": "insert", "xpath": "a/b", "xml": "<y/>"}}',
+            '{"i1": {"op": "insert", "xpath": "a[c]/b", "xml": "<x/>"},'
+            ' "i2": {"op": "insert", "xpath": "a[e]/b", "xml": "<y/>"}}',
         )
         assert main(["matrix", "--ops", path, "--budget", "1"]) == 2
 

@@ -11,6 +11,8 @@ from repro.conflicts.complex import (
 )
 from repro.conflicts.semantics import Verdict
 from repro.operations.ops import Delete, Insert
+from repro.patterns.pattern import ValueTest
+from repro.patterns.xpath import parse_xpath
 from repro.xml.tree import build_tree
 
 
@@ -86,16 +88,18 @@ class TestDetect:
         assert report.witness is not None
 
     def test_unknown_for_commuting_pair(self):
-        """No witness-size bound is proved, so the engine cannot say NO."""
+        """No witness-size bound is proved for branching updates, so the
+        search cannot say NO."""
         report = detect_update_update(
-            Insert("a/b", "<x/>"), Insert("a/d", "<y/>"), exhaustive_cap=3
+            Insert("a[c]/b", "<x/>"), Insert("a[e]/d", "<y/>"), exhaustive_cap=3
         )
         assert report.verdict is Verdict.UNKNOWN
         assert report.notes
 
     def test_heuristic_path(self):
+        # A branching insert keeps the pair off the exact linear rules.
         report = detect_update_update(
-            Insert("a/b", "<c/>"),
+            Insert("a[e]/b", "<c/>"),
             Delete("a/b/c"),
             exhaustive_cap=None,
         )
@@ -122,3 +126,90 @@ class TestReductionStyleInstances:
         # leaves inner out.  This requires p to fire somewhere q also
         # fires, which holds for both orientations here.
         assert witness is not None
+
+
+def _with_value_test(xpath: str):
+    """A linear pattern whose output node carries ``< 3`` (built by API)."""
+    pattern = parse_xpath(xpath)
+    pattern.set_value_test(pattern.output, ValueTest("<", 3))
+    return pattern
+
+
+class TestExactCommutationRules:
+    """The linear rules decide exactly; each verdict is cross-checked."""
+
+    @pytest.mark.parametrize(
+        "first,second,method",
+        [
+            # The pairs that came back UNKNOWN before the rules existed.
+            (Delete("bib/book/stale"), Delete("bib/book/stale"), "commute-identical"),
+            (
+                Insert("bib/book", "<note>x</note>"),
+                Delete("inv/item/stale"),
+                "commute-delete-insert",
+            ),
+            (Delete("a/b"), Delete("a//c"), "commute-delete-delete"),
+            # The insertion point is itself deleted, so p_d never sees X.
+            (Delete("a//b"), Insert("a/b", "<b/>"), "commute-delete-insert"),
+            (Insert("a//b", "<b/>"), Insert("a//b", "<b/>"), "commute-identical"),
+            (Insert("a/b", "<x/>"), Insert("a/d", "<y/>"), "commute-insert-insert"),
+            (Insert("a/b", "<x/>"), Insert("a/b", "<y/>"), "commute-insert-insert"),
+        ],
+    )
+    def test_commuting_pairs(self, first, second, method):
+        for op1, op2 in ((first, second), (second, first)):
+            report = detect_update_update(op1, op2, exhaustive_cap=None)
+            assert report.verdict is Verdict.NO_CONFLICT
+            assert report.method == method
+        assert find_commutativity_witness_exhaustive(first, second, max_size=4) is None
+
+    @pytest.mark.parametrize(
+        "first,second,method",
+        [
+            (Insert("a/b", "<c/>"), Delete("a/b/c"), "commute-delete-insert"),
+            (Insert("a", "<b><c/></b>"), Delete("a//c"), "commute-delete-insert"),
+            (Insert("a/b", "<c/>"), Insert("a/b/c", "<d/>"), "commute-insert-insert"),
+            (Insert("*", "<b/>"), Insert("a//b", "<c/>"), "commute-insert-insert"),
+        ],
+    )
+    def test_conflicting_pairs_carry_checked_chain_witnesses(
+        self, first, second, method
+    ):
+        report = detect_update_update(first, second, exhaustive_cap=None)
+        assert report.verdict is Verdict.CONFLICT
+        assert report.method == method
+        assert is_commutativity_witness(report.witness, first, second)
+        # The witness is the chain the walk found.
+        assert all(
+            len(report.witness.children(node)) <= 1
+            for node in report.witness.nodes()
+        )
+
+    def test_branching_pair_takes_the_search(self):
+        report = detect_update_update(
+            Delete("a[c]/b"), Delete("a[d]/b"), exhaustive_cap=2
+        )
+        assert report.verdict is Verdict.UNKNOWN
+        assert report.method == "exhaustive"
+
+    def test_value_test_pair_takes_the_search_on_stripped_patterns(self):
+        tested = Delete(_with_value_test("a/b"))
+        report = detect_update_update(tested, Delete("a/c"), exhaustive_cap=2)
+        assert report.verdict is Verdict.UNKNOWN
+        assert report.method == "exhaustive"
+        assert any("stripped" in note for note in report.notes)
+
+    def test_identical_value_test_operations_commute(self):
+        report = detect_update_update(
+            Delete(_with_value_test("a/b")), Delete(_with_value_test("a/b"))
+        )
+        assert report.verdict is Verdict.NO_CONFLICT
+        assert report.method == "commute-identical"
+        assert not report.notes
+
+    def test_identity_needs_isomorphic_subtrees(self):
+        report = detect_update_update(
+            Insert("a//b", "<b/>"), Insert("a//b", "<c/>"), exhaustive_cap=None
+        )
+        assert report.method == "commute-insert-insert"
+        assert report.verdict is Verdict.CONFLICT

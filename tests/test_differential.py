@@ -9,6 +9,11 @@ independent oracles with seeded randomized tests:
   must pass the Lemma 1 check, and a NO_CONFLICT verdict must survive
   exhaustive witness search up to a cap that is conclusive for these
   instance sizes.
+* **Brute-force commutation** — seeded random linear update pairs
+  (delete/delete, delete/insert, insert/insert) are decided by the exact
+  Section 6 commutation rules: a ``CONFLICT`` witness must pass
+  :func:`is_commutativity_witness`, and no tree of up to
+  ``UPDATE_SEARCH_CAP`` nodes may refute a ``NO_CONFLICT``.
 * **NFA subset simulation** — :class:`tests.oracles.NFAOracleCompiler`
   reruns the same detectors on the eager NFA product; the reports must be
   byte-identical (verdict, canonical witness, method), every matching
@@ -40,12 +45,18 @@ from repro.automata.matching import (
     matching_alphabet,
 )
 from repro.compile.compiler import PatternCompiler
+from repro.conflicts.complex import (
+    detect_update_update,
+    find_commutativity_witness_exhaustive,
+    is_commutativity_witness,
+)
 from repro.conflicts.general import find_witness_exhaustive, witness_size_bound
 from repro.conflicts.linear import (
     detect_read_delete_linear,
     detect_read_insert_linear,
 )
 from repro.conflicts.semantics import ConflictKind, Verdict, is_witness
+from repro.operations.ops import Delete, Insert
 from repro.workloads.generators import (
     random_delete,
     random_insert,
@@ -53,6 +64,7 @@ from repro.workloads.generators import (
     random_read,
 )
 from repro.xml.isomorphism import canonical_form
+from repro.xml.random_trees import random_tree
 from tests.oracles import (
     NFAOracleCompiler,
     nfa_product_word,
@@ -65,6 +77,8 @@ CASES = 200
 ALPHABET = ("a", "b")
 SEARCH_CAP = 4
 KINDS = (ConflictKind.NODE, ConflictKind.TREE, ConflictKind.VALUE)
+UPDATE_CASES = 60
+UPDATE_SEARCH_CAP = 5
 
 # One warm production compiler for the whole module: repeated patterns
 # across the seed range exercise real cache hits, which is exactly the
@@ -102,6 +116,33 @@ def _read_insert_case(seed: int):
         p_wildcard=0.2,
     )
     return read, insert
+
+
+def _update_pair_case(seed: int):
+    """A random linear update pair, its kinds picked by ``seed % 3``.
+
+    Patterns over 2–3 labels with ``*`` steps and ``//`` edges; half of
+    the inserted trees carry a text child.
+    """
+    rng = _case_rng(20_000, seed)
+    labels = ALPHABET + ("c",) if rng.random() < 0.3 else ALPHABET
+    kinds = (("delete", "delete"), ("delete", "insert"), ("insert", "insert"))
+    ops = []
+    for kind in kinds[seed % 3]:
+        if kind == "delete":
+            pattern = random_linear_pattern(
+                rng.randint(2, 3), labels, p_wildcard=0.25, seed=rng
+            )
+            ops.append(Delete(pattern))
+            continue
+        pattern = random_linear_pattern(
+            rng.randint(1, 3), labels, p_wildcard=0.25, seed=rng
+        )
+        subtree = random_tree(rng.randint(1, 2), labels, seed=rng)
+        if rng.random() < 0.5:
+            subtree.add_child(subtree.root, "#text:x")
+        ops.append(Insert(pattern, subtree))
+    return ops
 
 
 def _check_against_oracle(report, read, update, kind, seed):
@@ -190,6 +231,31 @@ class TestReadInsertDifferential:
     @pytest.mark.parametrize("seed", range(CASES))
     def test_compiled_uncached_and_dp_paths_agree(self, seed):
         _warm_cold_and_per_edge(INSERT, seed)
+
+
+class TestUpdateUpdateDifferential:
+    """The exact commutation rules for linear updates vs brute force."""
+
+    @pytest.mark.parametrize("seed", range(UPDATE_CASES))
+    def test_commutation_rules_vs_bruteforce_oracle(self, seed):
+        op1, op2 = _update_pair_case(seed)
+        report = detect_update_update(
+            op1, op2, exhaustive_cap=None, compiler=COMPILED
+        )
+        if report.verdict is Verdict.CONFLICT:
+            assert is_commutativity_witness(report.witness, op1, op2), (
+                f"seed {seed}: {op1} x {op2}: the reported witness does "
+                f"not separate the two orders"
+            )
+        elif report.verdict is Verdict.NO_CONFLICT:
+            assert report.method.startswith("commute-")
+            witness = find_commutativity_witness_exhaustive(
+                op1, op2, max_size=UPDATE_SEARCH_CAP
+            )
+            assert witness is None, (
+                f"seed {seed}: {op1} x {op2} reported commuting, but brute "
+                f"force found a witness:\n{witness.sketch()}"
+            )
 
 
 class TestKernelDifferential:

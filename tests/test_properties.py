@@ -5,6 +5,8 @@ the properties are the load-bearing invariants of the paper's formalism:
 
 * monotonicity of the positive pattern language under inserts/deletes,
 * soundness of every reported conflict witness (Lemma 1 re-check),
+* exactness of the linear commutation rules (checked witnesses, and no
+  small tree refuting a commutation),
 * canonical-form/isomorphism coherence,
 * XPath round-tripping,
 * matching implementations agreeing (NFA vs DP),
@@ -16,6 +18,11 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.automata.matching import match_dp, matching_word
+from repro.conflicts.complex import (
+    detect_update_update,
+    find_commutativity_witness_exhaustive,
+    is_commutativity_witness,
+)
 from repro.conflicts.linear import (
     detect_read_delete_linear,
     detect_read_insert_linear,
@@ -78,6 +85,18 @@ def branching_patterns(draw, max_nodes: int = 5) -> TreePattern:
         )
     pattern.set_output(nodes[draw(st.integers(0, len(nodes) - 1))])
     return pattern
+
+
+@st.composite
+def linear_updates(draw):
+    """A linear delete, or a linear insert whose tree may hold text."""
+    pattern = draw(linear_patterns(max_len=3))
+    if pattern.output != pattern.root and draw(st.booleans()):
+        return Delete(pattern)
+    subtree = draw(trees(max_nodes=2))
+    if draw(st.booleans()):
+        subtree.add_child(subtree.root, "#text:x")
+    return Insert(pattern, subtree)
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +239,21 @@ class TestConflictProperties:
         tree_v = detect_read_insert_linear(read, insert, ConflictKind.TREE).verdict
         value_v = detect_read_insert_linear(read, insert, ConflictKind.VALUE).verdict
         assert tree_v == value_v
+
+
+    @given(linear_updates(), linear_updates())
+    @settings(max_examples=40, deadline=None)
+    def test_linear_commutation_rules_are_exact(self, op1, op2):
+        """Every CONFLICT carries a checked witness; no tree of up to 4
+        nodes refutes a NO_CONFLICT."""
+        report = detect_update_update(op1, op2, exhaustive_cap=None)
+        if report.verdict is Verdict.CONFLICT:
+            assert is_commutativity_witness(report.witness, op1, op2)
+        elif report.verdict is Verdict.NO_CONFLICT:
+            assert (
+                find_commutativity_witness_exhaustive(op1, op2, max_size=4)
+                is None
+            )
 
 
 # ----------------------------------------------------------------------

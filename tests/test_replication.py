@@ -62,6 +62,10 @@ HOT_PARENT = {"op": "insert", "xpath": "doc/hot", "xml": "<item><u/></item>"}
 HOT_CHILD = {"op": "delete", "xpath": "doc/hot/item"}
 PRIVATE_0 = {"op": "insert", "xpath": "doc/p0", "xml": "<u/>"}
 PRIVATE_2 = {"op": "insert", "xpath": "doc/p2", "xml": "<v/>"}
+#: Private inserts with a branching pattern: the engine cannot prove that
+#: they commute, so the pair stays unproven.
+GUARDED_0 = {"op": "insert", "xpath": "doc[p1]/p0", "xml": "<u/>"}
+GUARDED_2 = {"op": "insert", "xpath": "doc[p3]/p2", "xml": "<v/>"}
 
 
 def make_session(resolver="last-writer-wins", replicas=4, **kwargs):
@@ -283,14 +287,15 @@ class TestSession:
 
     def test_unknown_policy_conflict_routes_unproven_pairs(self):
         session = make_session(replicas=2, unknown_policy="conflict")
-        session.edit(0, PRIVATE_0)
-        session.edit(1, PRIVATE_2)
+        session.edit(0, GUARDED_0)
+        session.edit(1, GUARDED_2)
         session.sync(0, 1)
         assert session.converged()
         # The unproven private pair went to the resolver instead.
         assert session.replicas[0].decisions
         counters = session.registry.snapshot()["counters"]
         assert "replication.pairs_unproven" not in counters
+        assert counters["replication.pairs_conflicting{verdict=unknown}"] >= 1
 
     def test_partition_blocks_and_heal_restores(self):
         session = make_session(replicas=4)

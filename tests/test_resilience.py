@@ -553,7 +553,8 @@ class TestCacheDurability:
         cache.save(path)
         assert not (tmp_path / "verdicts.json.tmp").exists()
         loaded = VerdictCache.load(path)
-        assert len(loaded) == len(cache)
+        # Snapshots hold the decided verdicts; UNKNOWNs stay out.
+        assert len(loaded) == len(cache.export())
         assert loaded.export() == cache.export()
 
     def test_truncated_snapshot_salvages_prefix(self, tmp_path):
@@ -578,7 +579,7 @@ class TestCacheDurability:
         path.write_text(path.read_text() + "\x00not-json{{{")
         with pytest.warns(CacheCorruptWarning):
             salvaged = VerdictCache.load(path)
-        assert len(salvaged) == len(cache)
+        assert len(salvaged) == len(cache.export())
 
     def test_strict_load_raises_typed_error(self, tmp_path):
         path = tmp_path / "verdicts.json"
@@ -625,7 +626,7 @@ class TestCacheDurability:
         faults.uninstall()
         with pytest.warns(CacheCorruptWarning):
             loaded = VerdictCache.load(path)
-        assert len(loaded) == len(cache)
+        assert len(loaded) == len(cache.export())
 
     def test_injected_truncate_mode_loses_tail(self, tmp_path):
         cache = self._populated_cache()

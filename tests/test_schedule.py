@@ -150,9 +150,10 @@ class TestEdgeCases:
         """Undecided pairs must not share a batch (sound scheduling)."""
         from repro.conflicts.detector import DetectorConfig
 
+        # Branching inserts: the bounded search leaves the pair open.
         catalogue = {
-            "i1": Insert("a/b", "<x/>"),
-            "i2": Insert("a/b", "<y/>"),
+            "i1": Insert("a[c]/b", "<x/>"),
+            "i2": Insert("a[e]/b", "<y/>"),
         }
         analyzer = BatchAnalyzer(DetectorConfig(exhaustive_cap=1))
         matrix = analyzer.analyze(catalogue)
