@@ -79,7 +79,6 @@ Package map:
 """
 
 from repro.compile import (
-    CompiledArtifact,
     PatternCompiler,
     global_compiler,
     reset_global_compiler,
@@ -127,7 +126,6 @@ __all__ = [
     "is_witness",
     "minimize_witness",
     "PatternCompiler",
-    "CompiledArtifact",
     "global_compiler",
     "reset_global_compiler",
     "Read",

@@ -17,10 +17,10 @@ loops) or labeled by one fixed symbol, its transition relation is
 vector plus sparse per-label rows, and the row for a concrete symbol is
 ``any_rows[i] | label_rows[symbol].get(i, 0)``.  Tables are therefore
 precomputed once per pattern at compile time (the ``compile.bitmask``
-artifact family of :class:`repro.compile.PatternCompiler`), shipped to
-fork *and* spawn pool workers through :class:`CompiledArtifact` payloads
-(:meth:`MaskTable.to_payload` round-trips through pickle and JSON alike),
-and reused across every alphabet a pattern pair induces.
+artifact family of :class:`repro.compile.PatternCompiler`) and reused
+across every alphabet a pattern pair induces.  Batch pool workers
+inherit the parent's tables under ``fork`` and build their own on first
+use under ``spawn``.
 
 Two decision loops run on the tables:
 
@@ -204,7 +204,7 @@ class MaskTable:
         )
 
     # ------------------------------------------------------------------
-    # Rows and transport
+    # Rows
     # ------------------------------------------------------------------
 
     def rows(self, symbol: str | None) -> tuple[int, ...]:
@@ -219,42 +219,6 @@ class MaskTable:
             base | labeled.get(state, 0)
             for state, base in enumerate(self.any_rows)
         )
-
-    def to_payload(self) -> tuple:
-        """A nested-tuple transport (pickles small, JSON-encodes cleanly)."""
-        return (
-            self.size,
-            self.start,
-            self.accepting,
-            tuple(self.any_rows),
-            tuple(
-                (label, tuple(sorted(rows.items())))
-                for label, rows in sorted(self.label_rows.items())
-            ),
-        )
-
-    @classmethod
-    def from_payload(cls, payload: Sequence) -> "MaskTable":
-        """Rebuild a table shipped through :meth:`to_payload`."""
-        size, start, accepting, any_rows, labeled = payload
-        return cls(
-            int(size),
-            int(start),
-            int(accepting),
-            tuple(int(row) for row in any_rows),
-            {
-                label: {int(state): int(mask) for state, mask in rows}
-                for label, rows in labeled
-            },
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MaskTable):
-            return NotImplemented
-        return self.to_payload() == other.to_payload()
-
-    def __hash__(self) -> int:
-        return hash(self.to_payload())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -301,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=4, metavar="N",
-        help="decision worker threads (default 4)",
+        help="concurrent decisions (default 4)",
     )
     p_serve.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",
@@ -370,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_cluster_serve.add_argument(
         "--workers-per-shard", type=int, default=2, metavar="N",
-        help="decision worker threads inside each shard (default 2)",
+        help="concurrent decisions inside each shard (default 2)",
     )
     p_cluster_serve.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",

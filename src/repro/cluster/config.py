@@ -25,7 +25,7 @@ class ClusterConfig:
         port: router TCP port; ``0`` binds an ephemeral port (read it
             back from :attr:`ClusterRouter.port`).
         shards: number of supervised shard processes.
-        workers_per_shard: decision worker threads inside each shard.
+        workers_per_shard: concurrent decisions inside each shard.
         queue_depth: each shard's admission queue depth.
         cache_path: shared verdict-cache base path; every shard derives
             its own ``<path>.shard<N>`` snapshot from it (see

@@ -7,7 +7,6 @@ See :mod:`repro.compile.compiler` for the architecture overview and
 from repro.compile.cache import MISS, LRUCache
 from repro.compile.compiler import (
     DEFAULT_CACHE_SIZE,
-    CompiledArtifact,
     PatternCompiler,
     global_compiler,
     reset_global_compiler,
@@ -18,7 +17,6 @@ __all__ = [
     "MISS",
     "LRUCache",
     "DEFAULT_CACHE_SIZE",
-    "CompiledArtifact",
     "PatternCompiler",
     "global_compiler",
     "reset_global_compiler",

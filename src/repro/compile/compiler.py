@@ -34,7 +34,6 @@ that needs a private cache takes one explicitly
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from repro.automata.bitkernel import (
     BitsetAutomaton,
@@ -49,11 +48,9 @@ from repro.obs import enabled as obs_enabled
 from repro.obs import global_metrics, span
 from repro.obs.metrics import MetricsRegistry
 from repro.patterns.pattern import TreePattern, fresh_label
-from repro.patterns.xpath import parse_xpath, to_xpath
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
-    "CompiledArtifact",
     "PatternCompiler",
     "global_compiler",
     "reset_global_compiler",
@@ -64,31 +61,6 @@ DEFAULT_CACHE_SIZE = 1024
 
 #: Union of the two pattern handles the compiler accepts everywhere.
 PatternLike = TreePattern | InternedPattern
-
-
-@dataclass(frozen=True)
-class CompiledArtifact:
-    """A picklable, string-only transport of one compiled operation.
-
-    The batch engine compiles its operand set once in the parent and
-    ships these alongside :class:`repro.conflicts.batch.CanonicalOp` to
-    pool workers; :meth:`PatternCompiler.seed` rebuilds the same interned
-    pattern (and pre-derived trunk) on the worker side, so under both
-    ``fork`` and ``spawn`` every worker starts with an identically warm
-    compiler instead of re-deriving per pair.
-    """
-
-    kind: str  # "Read" | "Insert" | "Delete"
-    xpath: str
-    pattern_key: str
-    trunk_xpath: str | None = None
-    linear: bool = True
-    #: Bitset-kernel mask tables (:meth:`MaskTable.to_payload`) of the
-    #: decision-hot pattern side — the read pattern itself for reads, the
-    #: trunk for updates.  ``None`` for branching reads.  Nested tuples of
-    #: ints/strs, so the artifact stays picklable under both fork and
-    #: spawn start methods.
-    mask_payload: tuple | None = None
 
 
 class PatternCompiler:
@@ -323,7 +295,7 @@ class PatternCompiler:
         return value
 
     # ------------------------------------------------------------------
-    # Batch interop: precompiling operand sets and shipping artifacts
+    # Batch interop: precompiling operand sets
     # ------------------------------------------------------------------
 
     def precompile(self, op) -> None:  # type: ignore[no-untyped-def]
@@ -340,67 +312,6 @@ class PatternCompiler:
                 self._suffixes(interned)
         else:
             self.trunk(interned)
-
-    def artifact(self, op) -> CompiledArtifact:  # type: ignore[no-untyped-def]
-        """The picklable compiled transport of ``op`` (warms this compiler).
-
-        The artifact also carries the mask-table payload of the
-        decision-hot side (the read pattern itself, or an update's
-        trunk), so pool workers start with warm ``compile.bitmask``
-        entries under both fork and spawn.
-        """
-        kind = type(op).__name__
-        pattern = op.pattern
-        interned = self.intern(pattern)
-        trunk_xpath: str | None = None
-        hot: InternedPattern | None = interned if pattern.is_linear else None
-        if kind != "Read":
-            hot = self.trunk(interned)
-            trunk_xpath = to_xpath(hot.pattern)
-        mask_payload = (
-            None
-            if hot is None
-            else self.bitset_automaton(hot, False).table.to_payload()
-        )
-        return CompiledArtifact(
-            kind=kind,
-            xpath=to_xpath(pattern),
-            pattern_key=interned.key,
-            trunk_xpath=trunk_xpath,
-            linear=pattern.is_linear,
-            mask_payload=mask_payload,
-        )
-
-    def seed(self, artifact: CompiledArtifact) -> InternedPattern:
-        """Adopt a shipped artifact: intern its pattern, pre-derive its trunk.
-
-        Returns the interned pattern.  A transport mismatch (the rebuilt
-        pattern's canonical form disagreeing with the shipped key) falls
-        back to local derivation rather than seeding a wrong trunk.
-        """
-        interned = self.intern(parse_xpath(artifact.xpath))
-        if interned.key != artifact.pattern_key:
-            return interned  # defensive: never seed from a mismatched key
-        hot: InternedPattern | None = None
-        if artifact.trunk_xpath is not None:
-            trunk = self.intern(parse_xpath(artifact.trunk_xpath))
-            self._derived.put((interned, "trunk"), trunk)
-            hot = trunk
-        if artifact.kind == "Read" and artifact.linear:
-            self._prefixes(interned)
-            self._suffixes(interned)
-            hot = interned
-        if artifact.mask_payload is not None and hot is not None:
-            table = MaskTable.from_payload(artifact.mask_payload)
-            expected = 1 + sum(
-                2 if descendant else 1
-                for _, descendant in spine_spec(hot.pattern)
-            )
-            # Shape mismatch (a transport bug) falls back to lazy local
-            # derivation rather than seeding a wrong automaton.
-            if table.size == expected:
-                self._bitmask.put((hot, False), BitsetAutomaton(table))
-        return interned
 
 
 # ----------------------------------------------------------------------

@@ -105,7 +105,7 @@ class PatternInterner:
         # otherwise both read ``_next_ident`` and mint *duplicate* idents
         # for different patterns, aliasing downstream identity-keyed memos.
         # The conflict service shares one process-global compiler across
-        # its worker threads, so this is a live concern, not a theoretical
+        # its handler threads, so this is a live concern, not a theoretical
         # one.  The lock is held only on the intern/reset paths — per-query
         # traffic, never inside a matching loop.
         self._lock = threading.Lock()

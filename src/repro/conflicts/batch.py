@@ -52,7 +52,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.compile.compiler import CompiledArtifact, global_compiler
+from repro.compile.compiler import global_compiler
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
 from repro.conflicts.index import PatternIndex, StaticProfile, profile_pattern, result_containment
 from repro.conflicts.matrix import ConflictMatrix
@@ -167,9 +167,12 @@ def _worker_init(
     canon_ops: list[CanonicalOp],
     fault_spec: str | None = None,
     fault_seed: int = 0,
-    artifacts: "list[CompiledArtifact] | None" = None,
     request_id: str | None = None,
 ) -> None:
+    # The detector decides on the process-global compiler.  Under ``fork``
+    # the worker inherits it, warmed by ``BatchAnalyzer._precompile`` when
+    # the analyzer compiles on it; under ``spawn`` it starts cold and
+    # compiles each operand on first use.
     detector = ConflictDetector(config=config)
     _WORKER["detector"] = detector
     _WORKER["canon"] = canon_ops
@@ -181,14 +184,6 @@ def _worker_init(
     # into the worker's main thread, and under ``spawn`` nothing crosses
     # at all — explicit transport via initargs covers both.
     set_request_id(request_id)
-    if artifacts:
-        # Pre-seed the worker's compile cache from the parent's compiled
-        # operand set (string-only transport, so it works under both fork
-        # and spawn): every worker starts with the same interned patterns
-        # and trunks the parent derived once, instead of re-deriving them
-        # on first touch.
-        for artifact in artifacts:
-            detector.compiler.seed(artifact)
     if fault_spec:
         # A programmatically installed injector does not survive ``spawn``
         # (fresh interpreter, same environment); the analyzer re-serializes
@@ -386,10 +381,10 @@ class BatchAnalyzer:
         self.retry_backoff_s = retry_backoff_s
         self.cache = cache if cache is not None else VerdictCache()
         self._metrics = registry if registry is not None else MetricsRegistry()
-        # One compile cache for the whole batch: shared with the serial
-        # detector and (via shipped artifacts) pre-seeded into every pool
-        # worker.  A supplied detector's compiler wins so its warm
-        # artifacts keep serving.
+        # One compile cache for the whole batch, shared with the serial
+        # detector; forked pool workers inherit the process-global one.
+        # A supplied detector's compiler wins so its warm artifacts keep
+        # serving.
         self._compiler = (
             detector.compiler if detector is not None else global_compiler()
         )
@@ -567,8 +562,8 @@ class BatchAnalyzer:
         """Compile the operand set once, before any pair is decided.
 
         Interns every pattern and derives trunks/prefixes up front so the
-        per-pair decisions (serial or in workers seeded via artifacts) hit
-        a warm compile cache from the first query.
+        per-pair decisions (serial, or in workers forked afterwards) hit a
+        warm compile cache from the first query.
         """
         count = 0
         with obs.span("batch.precompile"):
@@ -888,7 +883,6 @@ class BatchAnalyzer:
         context: multiprocessing.context.BaseContext,
         jobs: int,
         payload_ops: list[CanonicalOp],
-        artifacts: "list[CompiledArtifact] | None" = None,
     ) -> "multiprocessing.pool.Pool":
         injector = faults.current()
         return context.Pool(
@@ -899,7 +893,6 @@ class BatchAnalyzer:
                 payload_ops,
                 injector.spec() if injector is not None else None,
                 injector.seed if injector is not None else 0,
-                artifacts,
                 current_request_id(),
             ),
         )
@@ -967,12 +960,6 @@ class BatchAnalyzer:
         for index, triple in enumerate(triples):
             chunk_lists[index % chunk_count].append(triple)
         queue: deque[_Chunk] = deque(_Chunk(chunk) for chunk in chunk_lists)
-        # Compile the deduped operand set once in the parent and ship the
-        # artifacts with the initializer, so every worker (fork or spawn,
-        # including post-failure pool rebuilds) starts pre-seeded.
-        artifacts = [
-            self._compiler.artifact(op_by_key[canon.key]) for canon in payload_ops
-        ]
         out: dict[PairKey, tuple[Verdict, str | None]] = {}
         workers_seen: set[int] = set()
         with obs.span("batch.decide_parallel", pairs=len(items), jobs=jobs):
@@ -981,7 +968,7 @@ class BatchAnalyzer:
                 _FORK_OPS.update(
                     {index: op_by_key[key] for key, index in op_indices.items()}
                 )
-            pool = self._make_pool(context, jobs, payload_ops, artifacts)
+            pool = self._make_pool(context, jobs, payload_ops)
             try:
                 # Dispatch loop with per-chunk failure isolation.  Chunks
                 # are submitted individually (apply_async) so a crashed or
@@ -1023,7 +1010,7 @@ class BatchAnalyzer:
                         for other, _ in inflight:
                             queue.append(other)
                         inflight.clear()
-                        pool = self._make_pool(context, jobs, payload_ops, artifacts)
+                        pool = self._make_pool(context, jobs, payload_ops)
                         self._handle_chunk_failure(
                             chunk, "timeout", queue, out, items
                         )
@@ -1040,7 +1027,7 @@ class BatchAnalyzer:
                             for other, _ in inflight:
                                 queue.append(other)
                             inflight.clear()
-                            pool = self._make_pool(context, jobs, payload_ops, artifacts)
+                            pool = self._make_pool(context, jobs, payload_ops)
                         self._handle_chunk_failure(
                             chunk, "worker_crash", queue, out, items
                         )

@@ -52,7 +52,7 @@ from repro.conflicts.semantics import (
 )
 from repro.operations.ops import Delete, Insert, UpdateOp
 from repro.patterns.containment import canonical_models
-from repro.patterns.pattern import fresh_label
+from repro.patterns.pattern import WILDCARD, fresh_label
 from repro.resilience.budget import checkpoint
 from repro.xml.enumerate import enumerate_trees
 from repro.xml.isomorphism import isomorphic
@@ -91,7 +91,12 @@ def find_commutativity_witness_exhaustive(
     max_size: int = DEFAULT_EXHAUSTIVE_CAP,
     stats: SearchStats | None = None,
 ) -> XMLTree | None:
-    """Enumerate candidate trees up to ``max_size``; return a witness or None."""
+    """Enumerate candidate trees up to ``max_size``; return a witness or None.
+
+    Checks every candidate, unlike the search of
+    :func:`detect_update_update`, which skips those whose root label rules
+    them out; the update/update differential uses this as its oracle.
+    """
     for candidate in enumerate_trees(max_size, _alphabet(op1, op2)):
         checkpoint("complex.exhaustive")
         if stats is not None:
@@ -99,6 +104,23 @@ def find_commutativity_witness_exhaustive(
         if is_commutativity_witness(candidate, op1, op2):
             return candidate
     return None
+
+
+def _witness_roots(op1: UpdateOp, op2: UpdateOp) -> set[str]:
+    """The root labels a commutativity witness can have.
+
+    Neither update changes the root's label: an insert adds below a
+    selected node, and a delete never selects the root.  So on a tree
+    whose root a pattern's concrete root label rules out, that update
+    selects nothing before or after the other one, is the identity in
+    both orders, and the tree is no witness.
+    """
+    roots = set(_alphabet(op1, op2))
+    for op in (op1, op2):
+        label = op.pattern.label(op.pattern.root)
+        if label != WILDCARD:
+            roots &= {label}
+    return roots
 
 
 def _heuristic_candidates(op1: UpdateOp, op2: UpdateOp) -> list[XMLTree]:
@@ -274,10 +296,17 @@ def _detect_update_update(
                 stats={"heuristic_candidates": stats.heuristic_candidates},
             )
     if exhaustive_cap is not None:
+        roots = _witness_roots(op1, op2)
         with span("complex.exhaustive", cap=exhaustive_cap) as sp:
-            witness = find_commutativity_witness_exhaustive(
-                op1, op2, max_size=exhaustive_cap, stats=stats
-            )
+            witness = None
+            for candidate in enumerate_trees(exhaustive_cap, _alphabet(op1, op2)):
+                checkpoint("complex.exhaustive")
+                if candidate.label(candidate.root) not in roots:
+                    continue
+                stats.candidates_checked += 1
+                if is_commutativity_witness(candidate, op1, op2):
+                    witness = candidate
+                    break
             sp.set("candidates", stats.candidates_checked)
             sp.set("found", witness is not None)
         if witness is not None:

@@ -48,8 +48,9 @@ from repro.conflicts.semantics import (
     ConflictReport,
     Verdict,
     is_witness,
+    strip_value_tests,
 )
-from repro.operations.ops import Delete, Insert, Read, UpdateOp
+from repro.operations.ops import Insert, Read, UpdateOp
 from repro.patterns.containment import canonical_models
 from repro.patterns.pattern import TreePattern, fresh_label
 from repro.resilience.budget import checkpoint
@@ -263,7 +264,8 @@ def decide_conflict(
     produces element-only trees, so test-carrying patterns would silently
     under-match and a "definitive" NO_CONFLICT could be wrong.  Stripping
     keeps the procedure sound (over-approximating) and is recorded in the
-    report's notes.
+    report's notes, one :data:`~repro.conflicts.semantics.STRIPPED_NOTE`
+    per stripped operation.
     """
     with span(
         "general.decide",
@@ -271,7 +273,7 @@ def decide_conflict(
         update_size=update.pattern.size,
         kind=kind.value,
     ) as sp:
-        read, update, strip_notes = _strip_value_tests(read, update)
+        read, update, strip_notes = strip_value_tests(read, update)
         report = _decide_conflict_stripped(
             read, update, kind, exhaustive_cap, use_heuristics, compiler
         )
@@ -279,28 +281,6 @@ def decide_conflict(
         sp.set("verdict", report.verdict.value)
         sp.set("method", report.method)
         return report
-
-
-def _strip_value_tests(
-    read: Read, update: UpdateOp
-) -> tuple[Read, UpdateOp, list[str]]:
-    notes: list[str] = []
-    if read.pattern.has_value_tests():
-        read = Read(read.pattern.strip_value_tests())
-        notes = [_STRIP_NOTE]
-    if update.pattern.has_value_tests():
-        if isinstance(update, Insert):
-            update = Insert(update.pattern.strip_value_tests(), update.subtree)
-        else:
-            update = Delete(update.pattern.strip_value_tests())
-        notes = [_STRIP_NOTE]
-    return read, update, notes
-
-
-_STRIP_NOTE = (
-    "value tests were stripped for the general-case search (element-only "
-    "candidate enumeration); the verdict is a sound over-approximation"
-)
 
 
 def _decide_conflict_stripped(

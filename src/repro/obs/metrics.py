@@ -378,15 +378,6 @@ class MetricsRegistry:
                     mine = self._histograms.setdefault(key, Histogram())
                 mine.absorb(hist)
 
-    def absorb_counters(self, counters: dict[str, int]) -> None:
-        """Add a plain ``{key: value}`` counter mapping into this registry.
-
-        The keys are pre-rendered (label dimensions already baked in), as
-        produced by ``snapshot()["counters"]``.  Kept as the narrow form
-        of :meth:`absorb` for callers that only carry counters.
-        """
-        self.absorb({"counters": counters})
-
     def merged_with(self, other: "MetricsRegistry") -> dict:
         """Snapshot of ``self`` overlaid with ``other``.
 

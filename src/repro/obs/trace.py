@@ -28,9 +28,9 @@ Enabling:
 **Request correlation.**  A thread-local *request id* can be bound with
 :func:`request_context` (or :func:`set_request_id`); while bound, every
 finished span's record carries ``"request_id"``, so all spans produced on
-behalf of one service request — across the admission queue's worker
-threads and the batch engine's pool processes, which re-bind the id —
-grep together from one JSONL file.  Unbound (the CLI, tests, library
+behalf of one service request — on its handler thread and in the batch
+engine's pool processes, which re-bind the id — grep together from one
+JSONL file.  Unbound (the CLI, tests, library
 use), records simply omit the key.
 """
 

@@ -11,9 +11,10 @@ is a stdlib-only HTTP/JSON daemon that owns
   :class:`repro.conflicts.verdict_cache.VerdictCache` (loaded — with
   corrupt-snapshot salvage — on boot, snapshotted atomically to disk on
   a timer and again on drain),
-* an admission-control layer: a bounded queue in front of a fixed pool
-  of decision workers, so overload answers ``429`` immediately instead
-  of queueing unboundedly or hanging, and
+* an admission-control layer: each decision runs on its request's
+  handler thread, at most ``workers`` at once with at most
+  ``queue_depth`` more waiting, so overload answers ``429`` immediately
+  instead of queueing unboundedly or hanging, and
 * a graceful drain path (SIGTERM under ``repro serve``): stop accepting,
   finish every admitted request, take a final snapshot.
 

@@ -1,121 +1,49 @@
-"""Admission control: a bounded queue in front of fixed decision workers.
+"""Admission control: a bound on concurrent decisions, and a bound on waiters.
 
 The server's HTTP layer is threaded (one cheap handler thread per
-connection), but conflict decisions are CPU-bound and NP-hard in the
-general case, so concurrency must be bounded *behind* the socket: every
-decision request is submitted as a job to this controller, which holds a
-``queue.Queue(maxsize=queue_depth)`` drained by ``workers`` long-lived
-threads.  The three states a submission can meet:
+connection), and each decision runs on the handler thread that received
+its request.  Decisions are CPU-bound and NP-hard in the general case,
+so :meth:`AdmissionController.run` bounds them.  A request meets one of
+three states:
 
-* a worker is free, or the queue has room → admitted; the handler thread
-  blocks on the job until a worker finishes it;
-* the queue is full → :class:`~repro.errors.ServiceOverloaded` is raised
-  *immediately* (HTTP 429).  Shedding at admission keeps the tail
-  latency of admitted work flat and means overload can never manifest
-  as a hang;
+* fewer than ``workers + queue_depth`` requests are admitted → admitted;
+  it waits for one of ``workers`` decision slots, then decides;
+* ``workers + queue_depth`` requests are already admitted →
+  :class:`~repro.errors.ServiceOverloaded` is raised *immediately*
+  (HTTP 429).  Shedding at admission keeps the tail latency of admitted
+  work flat and means overload can never manifest as a hang;
 * the controller is closed (drain) →
   :class:`~repro.errors.ServiceDraining` (HTTP 503).
 
-Admission is a promise: once :meth:`AdmissionController.submit` returns
-a job, that job *will* be executed — :meth:`close` only rejects new
-submissions, and :meth:`join` blocks until everything admitted has run.
-The drain path relies on exactly this ordering.
+Admission is a promise: once :meth:`AdmissionController.run` admits a
+request, that request *will* decide — :meth:`close` only rejects new
+ones.  The server counts a request in flight from before admission until
+its response is written, so waiting for that count to reach zero covers
+every admitted decision; the drain path relies on exactly this.
 
-Each job carries the request id it was admitted under: the worker thread
-re-binds it (:func:`repro.obs.trace.request_context`) around execution,
-so spans emitted from the decision — and from any pool workers the
-decision fans out to — correlate with the HTTP request even though the
-work runs threads away from the handler.  Jobs also timestamp admission,
-start, and finish, which is where the access log's ``queue_wait_ms`` and
-execution timings come from, and which feed the
-``service.queue_wait_ms`` / ``service.exec_ms`` histograms.
+Each admitted request's wait for a slot and its execution are timed:
+they feed the ``service.queue_wait_ms`` / ``service.exec_ms`` histograms
+and, through :meth:`~AdmissionController.run`'s ``timings`` mapping, the
+access log's ``queue_wait_ms`` / ``decide_ms``.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections.abc import Callable
+from typing import TypeVar
 
 from repro.errors import ServiceDraining, ServiceOverloaded
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import request_context
 
-__all__ = ["AdmissionController", "Job"]
+__all__ = ["AdmissionController"]
 
-#: Queue sentinel telling a worker thread to exit.
-_STOP = object()
-
-
-class Job:
-    """One admitted unit of work: a thunk, its outcome, and a done event.
-
-    ``queued_at``/``started_at``/``finished_at`` are ``perf_counter``
-    stamps set at admission, at worker pickup, and at completion;
-    :attr:`queue_wait_s` and :attr:`exec_s` derive the two latencies the
-    access log and the admission histograms report.
-    """
-
-    __slots__ = (
-        "_fn",
-        "_done",
-        "result",
-        "error",
-        "request_id",
-        "queued_at",
-        "started_at",
-        "finished_at",
-    )
-
-    def __init__(
-        self, fn: Callable[[], object], request_id: str | None = None
-    ) -> None:
-        self._fn = fn
-        self._done = threading.Event()
-        self.result: object = None
-        self.error: BaseException | None = None
-        self.request_id = request_id
-        self.queued_at = time.perf_counter()
-        self.started_at: float | None = None
-        self.finished_at: float | None = None
-
-    def run(self) -> None:
-        self.started_at = time.perf_counter()
-        try:
-            with request_context(self.request_id):
-                self.result = self._fn()
-        except BaseException as exc:  # noqa: BLE001 - relayed to the waiter
-            self.error = exc
-        finally:
-            self.finished_at = time.perf_counter()
-            self._done.set()
-
-    @property
-    def queue_wait_s(self) -> float | None:
-        """Seconds spent queued before a worker picked the job up."""
-        if self.started_at is None:
-            return None
-        return self.started_at - self.queued_at
-
-    @property
-    def exec_s(self) -> float | None:
-        """Seconds the job spent executing (None until finished)."""
-        if self.started_at is None or self.finished_at is None:
-            return None
-        return self.finished_at - self.started_at
-
-    def wait(self, timeout: float | None = None) -> object:
-        """Block until the job ran; return its result or re-raise its error."""
-        if not self._done.wait(timeout):
-            raise TimeoutError("job did not complete in time")
-        if self.error is not None:
-            raise self.error
-        return self.result
+T = TypeVar("T")
 
 
 class AdmissionController:
-    """Bounded request queue + fixed worker pool (see module docstring)."""
+    """Bounded admission in front of ``workers`` decision slots."""
 
     def __init__(
         self,
@@ -126,103 +54,66 @@ class AdmissionController:
         self.workers = workers
         self.queue_depth = queue_depth
         self._registry = registry if registry is not None else MetricsRegistry()
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
-        self._threads: list[threading.Thread] = []
+        self._slots = threading.Semaphore(workers)
+        self._lock = threading.Lock()
+        self._admitted = 0  # admitted and not yet finished
+        self._waiting = 0  # admitted and waiting for a slot
         self._closed = False
-        self._started = False
 
-    def start(self) -> None:
-        """Spin up the worker threads (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._run,
-                name=f"repro-service-worker-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+    def run(self, fn: Callable[[], T], timings: dict | None = None) -> T:
+        """Admit ``fn`` or reject it at once; run it on this thread.
 
-    def submit(
-        self,
-        fn: Callable[[], object],
-        request_id: str | None = None,
-    ) -> Job:
-        """Admit ``fn`` for execution, or reject without blocking.
-
-        ``request_id`` (if any) is re-bound around the job's execution on
-        the worker thread, so downstream spans stay correlated.
+        When ``fn`` was admitted, ``timings`` (if given) receives its
+        ``queue_wait_ms`` and ``decide_ms``, even when ``fn`` raised.
 
         Raises:
             ServiceDraining: the controller is closed (drain in progress).
-            ServiceOverloaded: the queue is full right now.
+            ServiceOverloaded: ``workers + queue_depth`` requests are
+                already admitted.
         """
-        if self._closed:
-            self._registry.inc("service.rejected_total", reason="draining")
-            raise ServiceDraining("service is draining; not accepting work")
-        job = Job(fn, request_id=request_id)
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            self._registry.inc("service.rejected_total", reason="overload")
-            raise ServiceOverloaded(
-                f"admission queue full ({self.queue_depth} waiting); retry later"
-            ) from None
+        with self._lock:
+            if self._closed:
+                self._registry.inc("service.rejected_total", reason="draining")
+                raise ServiceDraining("service is draining; not accepting work")
+            if self._admitted >= self.workers + self.queue_depth:
+                self._registry.inc("service.rejected_total", reason="overload")
+                raise ServiceOverloaded(
+                    f"admission queue full ({self.queue_depth} waiting); "
+                    "retry later"
+                )
+            self._admitted += 1
+            self._wait_change(+1)
         self._registry.inc("service.admitted_total")
-        self._registry.set_gauge("service.queue_depth", self._queue.qsize())
-        return job
+        queued_at = time.perf_counter()
+        try:
+            with self._slots:
+                started = time.perf_counter()
+                with self._lock:
+                    self._wait_change(-1)
+                try:
+                    return fn()
+                finally:
+                    queue_wait_ms = (started - queued_at) * 1000.0
+                    decide_ms = (time.perf_counter() - started) * 1000.0
+                    self._registry.observe("service.queue_wait_ms", queue_wait_ms)
+                    self._registry.observe("service.exec_ms", decide_ms)
+                    if timings is not None:
+                        timings["queue_wait_ms"] = queue_wait_ms
+                        timings["decide_ms"] = decide_ms
+        finally:
+            with self._lock:
+                self._admitted -= 1
 
-    def run(
-        self, fn: Callable[[], object], request_id: str | None = None
-    ) -> object:
-        """Submit ``fn`` and block for its outcome (the handler-thread path)."""
-        return self.submit(fn, request_id=request_id).wait()
+    def _wait_change(self, delta: int) -> None:
+        """Move the waiting count (caller holds ``_lock``) and its gauge."""
+        self._waiting += delta
+        self._registry.set_gauge("service.queue_depth", self._waiting)
 
     def close(self) -> None:
-        """Stop admitting new work; already-admitted jobs still run."""
-        self._closed = True
+        """Stop admitting new work; already-admitted requests still run."""
+        with self._lock:
+            self._closed = True
 
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def join(self) -> None:
-        """Block until every admitted job has been executed."""
-        self._queue.join()
-
-    def stop(self) -> None:
-        """Terminate the worker threads after the queue is drained.
-
-        Call :meth:`close` then :meth:`join` first; stopping an open
-        controller would race sentinels against live submissions.
-        """
-        for _ in self._threads:
-            self._queue.put(_STOP)
-        for thread in self._threads:
-            thread.join()
-        self._threads.clear()
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is _STOP:
-                    return
-                self._registry.set_gauge(
-                    "service.queue_depth", self._queue.qsize()
-                )
-                item.run()
-                queue_wait = item.queue_wait_s
-                if queue_wait is not None:
-                    self._registry.observe(
-                        "service.queue_wait_ms", queue_wait * 1000.0
-                    )
-                exec_s = item.exec_s
-                if exec_s is not None:
-                    self._registry.observe(
-                        "service.exec_ms", exec_s * 1000.0
-                    )
-            finally:
-                self._queue.task_done()

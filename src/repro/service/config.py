@@ -26,12 +26,13 @@ class ServiceConfig:
             *behind* an update pipeline, not on the public internet).
         port: TCP port; ``0`` binds an ephemeral port (read it back from
             :attr:`ConflictService.port` — tests and the benchmark do).
-        workers: decision worker threads.  This bounds concurrent
-            *decisions*, not connections: HTTP handler threads are cheap
-            and block waiting for their job, workers do the CPU work.
-        queue_depth: admitted-but-not-yet-running requests the bounded
-            queue holds.  A submit that finds it full is rejected with
-            429 immediately — overload sheds, it never hangs.
+        workers: concurrent decisions.  This bounds *decisions*, not
+            connections: each HTTP handler thread decides its own
+            request once one of these slots is free.
+        queue_depth: admitted requests that may wait for a decision
+            slot.  A request that finds ``workers + queue_depth``
+            already admitted is rejected with 429 immediately —
+            overload sheds, it never hangs.
         cache_path: verdict-cache snapshot file.  Loaded (salvaging
             corruption) on boot when it exists, written atomically every
             ``snapshot_interval_s`` while entries accumulate, and once

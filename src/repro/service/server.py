@@ -3,11 +3,11 @@
 Stdlib only: a :class:`http.server.ThreadingHTTPServer` accepts
 connections (one cheap handler thread each, HTTP/1.1 keep-alive so a
 client pays connection setup once), the handler parses/validates, and
-every *decision* route is executed through the
-:class:`~repro.service.admission.AdmissionController` — the handler
-thread blocks on its admitted job while a bounded worker pool does the
-CPU work.  ``GET /healthz`` and ``GET /metrics`` are answered inline,
-never queued: they must keep working precisely when the queue is full.
+every *decision* route runs on that handler thread once the
+:class:`~repro.service.admission.AdmissionController` admits it, which
+bounds how many decide at once and how many wait.  ``GET /healthz`` and
+``GET /metrics`` skip admission: they must keep working precisely when
+the queue is full.
 They are still instrumented (their own ``service.requests_total`` route
 label and a ``service.http`` span), and ``/metrics`` responses are
 size-capped — inline must never mean invisible or unbounded.
@@ -16,9 +16,9 @@ Every request carries a **request id**: client-supplied via the
 ``X-Request-Id`` header (or a ``request_id`` body field), else minted by
 the server.  The id is echoed in the ``X-Request-Id`` response header
 and the JSON body, bound as the thread's tracing request context for the
-duration of handling (so every span — including those from admission
-workers and batch pool processes — carries it), stamped into the access
-log, and appended to degraded-verdict notes.
+duration of handling (so every span — including those from the
+decision and from batch pool processes — carries it), stamped into the
+access log, and appended to degraded-verdict notes.
 
 ``GET /metrics`` is content-negotiated: the default stays the JSON
 snapshot shape this repo's own tooling reads, while ``Accept:
@@ -44,9 +44,9 @@ Status codes are part of the API contract (``docs/SERVICE.md``):
 
 Drain (:meth:`ConflictService.drain`, wired to SIGTERM by ``repro
 serve``) is ordered so that no admitted request is ever lost: admission
-closes (new work → 503) → every admitted job runs to completion → every
-in-flight HTTP response is written → the listener stops → workers exit →
-a final cache snapshot is written.
+closes (new work → 503) → every in-flight request, admitted decisions
+included, has its response written → the listener stops → a final cache
+snapshot is written.
 """
 
 from __future__ import annotations
@@ -228,17 +228,16 @@ class _Handler(BaseHTTPRequestHandler):
         status = 200
         outcome = "ok"
         result: dict | None = None
-        job = None
+        timings: dict[str, float] = {}
         try:
             with request_context(request_id):
                 with span("service.http", route=route, method="POST") as sp:
                     try:
                         handler = getattr(service.state, route)
-                        job = service.admission.submit(
+                        result = service.admission.run(
                             lambda: handler(payload, request_id=request_id),
-                            request_id=request_id,
+                            timings,
                         )
-                        result = job.wait()
                         self._send(200, result, request_id=request_id)
                     except ServiceOverloaded as exc:
                         status, outcome = 429, "overloaded"
@@ -293,11 +292,7 @@ class _Handler(BaseHTTPRequestHandler):
                 record["cached"] = result.get("cached")
                 record["reason"] = result.get("reason")
                 record["degraded"] = bool(result.get("degraded"))
-            if job is not None:
-                if job.queue_wait_s is not None:
-                    record["queue_wait_ms"] = job.queue_wait_s * 1000.0
-                if job.exec_s is not None:
-                    record["decide_ms"] = job.exec_s * 1000.0
+            record.update(timings)
             service.log_access(record)
             service.end_request()
 
@@ -387,7 +382,7 @@ class ConflictService:
     Lifecycle::
 
         service = ConflictService(ServiceConfig(port=0))
-        service.start()              # bind + workers + snapshot timer
+        service.start()              # bind + snapshot timer
         service.serve_forever()      # blocks (or start_background())
         ...
         service.drain()              # SIGTERM path; idempotent
@@ -420,7 +415,7 @@ class ConflictService:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Bind the listener and start workers + the snapshot timer."""
+        """Bind the listener and start the snapshot timer."""
         if self._httpd is not None:
             raise ServiceError("service already started")
         httpd = _ServiceHTTPServer(
@@ -430,7 +425,6 @@ class ConflictService:
         self._httpd = httpd
         if self.config.access_log_path:
             self._access_sink = JsonlSink(self.config.access_log_path)
-        self.admission.start()
         if self.config.cache_path:
             self._snapshot_thread = threading.Thread(
                 target=self._snapshot_loop,
@@ -479,13 +473,11 @@ class ConflictService:
             if self._drained:
                 return
             self._drained = True
-            self.admission.close()          # new submissions -> 503
-            self.admission.join()           # every admitted job has run
-            self._await_inflight()          # every response is written
+            self.admission.close()          # new requests -> 503
+            self._await_inflight()          # every admitted one answered
             if self._httpd is not None:
                 self._httpd.shutdown()      # stop the accept loop
                 self._httpd.server_close()
-            self.admission.stop()
             self._snapshot_stop.set()
             if self._snapshot_thread is not None:
                 self._snapshot_thread.join()

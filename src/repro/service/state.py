@@ -94,7 +94,7 @@ class ServiceState:
         return VerdictCache(shard_id=self.config.shard_id)
 
     # ------------------------------------------------------------------
-    # Decisions (run on admission-controller worker threads)
+    # Decisions (run on the request's handler thread once admitted)
     # ------------------------------------------------------------------
 
     def check(self, payload: Mapping, request_id: str | None = None) -> dict:

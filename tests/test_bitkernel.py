@@ -15,8 +15,8 @@ directions:
 * **Metamorphic invariants** — relabeling NFA states and swapping
   operand order never flip a verdict.
 * **Boundary + transport** — automata spanning the 63/64/65-state
-  machine-word boundaries, payload/pickle round-trips, artifact
-  shipping into spawn pool workers, and budget/fault interaction.
+  machine-word boundaries, spawn pool workers that build their own
+  tables, and budget/fault interaction.
 
 Seeds honor ``REPRO_DIFF_SEED_BASE`` like ``tests/test_differential.py``
 so CI can shift the whole battery into disjoint input regions.
@@ -25,7 +25,6 @@ so CI can shift the whole battery into disjoint input regions.
 from __future__ import annotations
 
 import os
-import pickle
 import random
 
 import pytest
@@ -338,59 +337,13 @@ class TestBitsetProfile:
 
 
 # ----------------------------------------------------------------------
-# Transport: payloads, pickle, pool workers
+# Transport: spawn pool workers
 # ----------------------------------------------------------------------
 
 
 class TestTransport:
-    def test_payload_round_trip(self):
-        table = MaskTable.from_pattern(parse_xpath("a//b/*/c"))
-        clone = MaskTable.from_payload(table.to_payload())
-        assert clone == table
-        assert hash(clone) == hash(table)
-
-    def test_payload_pickles(self):
-        table = MaskTable.from_pattern(parse_xpath("a//b/*/c"))
-        revived = MaskTable.from_payload(
-            pickle.loads(pickle.dumps(table.to_payload()))
-        )
-        assert revived == table
-
-    def test_artifact_carries_mask_payload(self):
-        comp = PatternCompiler()
-        artifact = comp.artifact(Read("a//b/c"))
-        assert artifact.mask_payload is not None
-        assert MaskTable.from_payload(artifact.mask_payload) == (
-            MaskTable.from_pattern(parse_xpath("a//b/c"))
-        )
-
-    def test_seed_adopts_shipped_masks(self):
-        source = PatternCompiler()
-        artifact = pickle.loads(pickle.dumps(source.artifact(Read("a//b/c"))))
-        target = PatternCompiler()
-        target.seed(artifact)
-        built_before = target.stats()
-        # The seeded automaton answers without rebuilding its table.
-        word = target.matching_word(
-            parse_xpath("a//b/c"), parse_xpath("a/b/c"), weak=False
-        )
-        assert word == ["a", "b", "c"]
-
-    def test_seed_rejects_wrong_sized_payload(self):
-        source = PatternCompiler()
-        artifact = source.artifact(Read("a//b/c"))
-        bogus = MaskTable.from_pattern(parse_xpath("x/y")).to_payload()
-        mangled = pickle.loads(pickle.dumps(artifact))
-        object.__setattr__(mangled, "mask_payload", bogus)
-        target = PatternCompiler()
-        target.seed(mangled)  # must not adopt, must not raise
-        word = target.matching_word(
-            parse_xpath("a//b/c"), parse_xpath("a/b/c"), weak=False
-        )
-        assert word == ["a", "b", "c"]
-
     def test_spawn_pool_round_trip(self, monkeypatch):
-        """Artifacts (and their mask payloads) ship into spawn workers."""
+        """Spawn workers inherit no tables; the ones they build agree."""
         from repro.conflicts.batch import BatchAnalyzer, reference_matrix
 
         catalogue = {

@@ -3,21 +3,19 @@
 Covers the LRU substrate, interning identity rules (monotonic idents,
 generation bumps, per-interner ownership), the compiler's memo families,
 verdicts across a compiler reset (the generation-aliasing regression),
-artifact transport to pool workers — including a full batch round-trip
-under ``REPRO_START_METHOD=spawn`` — and how detectors share or isolate
-a compiler.
+a full batch round-trip under ``REPRO_START_METHOD=spawn`` (workers that
+inherit no compile cache), and how detectors share or isolate a
+compiler.
 """
 
 from __future__ import annotations
 
-import pickle
 
 import pytest
 
 from repro.automata.matching import matching_alphabet, matching_word
 from repro.compile import (
     MISS,
-    CompiledArtifact,
     LRUCache,
     PatternCompiler,
     PatternInterner,
@@ -281,68 +279,6 @@ class TestPatternCompiler:
 
 
 # ----------------------------------------------------------------------
-# Compiled-artifact transport (parent -> pool worker)
-# ----------------------------------------------------------------------
-
-
-class TestCompiledArtifacts:
-    def test_artifact_round_trip_rebuilds_identical_interned_pattern(self):
-        parent = PatternCompiler()
-        op = Delete(pattern("a/b//c"))
-        artifact = parent.artifact(op)
-        wire = pickle.loads(pickle.dumps(artifact))
-        assert wire == artifact
-
-        worker = PatternCompiler()
-        interned = worker.seed(wire)
-        assert interned.key == artifact.pattern_key
-        assert interned.key == parent.intern(op.pattern).key
-        # The trunk arrived pre-derived: deriving it now is a cache hit.
-        hits_before = worker.stats()["compile.derived"]["hits"]
-        trunk = worker.trunk(interned)
-        assert worker.stats()["compile.derived"]["hits"] == hits_before + 1
-        assert trunk.key == parent.trunk(op.pattern).key
-
-    def test_read_artifact_seeds_spine_prefixes_and_suffixes(self):
-        parent = PatternCompiler()
-        read = Read(pattern("a//b/c"))
-        artifact = parent.artifact(read)
-        assert artifact.kind == "Read"
-        assert artifact.trunk_xpath is None
-        worker = PatternCompiler()
-        worker.seed(artifact)
-        hits_before = worker.stats()["compile.derived"]["hits"]
-        worker.spine_prefix(read.pattern, 1)
-        worker.spine_suffix(read.pattern, 1)
-        assert worker.stats()["compile.derived"]["hits"] == hits_before + 2
-
-    def test_insert_artifact_carries_trunk(self):
-        comp = PatternCompiler()
-        insert = Insert(pattern("a/b"), "<c/>")
-        artifact = comp.artifact(insert)
-        assert artifact.kind == "Insert"
-        assert artifact.trunk_xpath is not None
-        assert artifact.linear
-
-    def test_seed_refuses_a_mismatched_key(self):
-        comp = PatternCompiler()
-        good = comp.artifact(Delete(pattern("a/b")))
-        tampered = CompiledArtifact(
-            kind=good.kind,
-            xpath=good.xpath,
-            pattern_key="not-the-real-key",
-            trunk_xpath="z/z",
-            linear=good.linear,
-        )
-        worker = PatternCompiler()
-        interned = worker.seed(tampered)
-        # The pattern itself still interns, but the suspicious trunk was
-        # not adopted.
-        trunk = worker.trunk(interned)
-        assert trunk.key == pattern("a/b").trunk().canonical_form()
-
-
-# ----------------------------------------------------------------------
 # Sharing: the global compiler and private per-detector compilers
 # ----------------------------------------------------------------------
 
@@ -418,7 +354,7 @@ SPAWN_OPS = {
     "purge": Delete(parse_xpath("bib/book")),
 }
 
-# The spawn tests exercise artifact transport, not search depth: a small
+# The spawn tests exercise operand transport, not search depth: a small
 # exhaustive cap keeps the NP-side update-update pairs cheap while still
 # deciding every pair the same way on both sides of the comparison.
 SPAWN_CONFIG = DetectorConfig(exhaustive_cap=4)
@@ -428,9 +364,9 @@ class TestSpawnRoundTrip:
     def test_spawn_workers_receive_seeded_compilers(self, monkeypatch):
         """A spawn pool (no inherited memory) must match the reference.
 
-        Workers rebuild their compile caches purely from the shipped
-        :class:`CompiledArtifact` list, so verdict equality here proves
-        the transport reconstructs every pattern identically.
+        Workers rebuild every operation from its transported canonical
+        strings and compile it on first use, so verdict equality here
+        proves the transport reconstructs every pattern identically.
         """
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         cache = VerdictCache()

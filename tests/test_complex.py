@@ -9,10 +9,12 @@ from repro.conflicts.complex import (
     find_commutativity_witness_exhaustive,
     is_commutativity_witness,
 )
+from repro.conflicts.general import SearchStats
 from repro.conflicts.semantics import Verdict
 from repro.operations.ops import Delete, Insert
 from repro.patterns.pattern import ValueTest
 from repro.patterns.xpath import parse_xpath
+from repro.xml.isomorphism import isomorphic
 from repro.xml.tree import build_tree
 
 
@@ -106,6 +108,44 @@ class TestDetect:
         assert report.verdict in (Verdict.CONFLICT, Verdict.UNKNOWN)
         if report.verdict is Verdict.CONFLICT:
             assert report.method == "heuristic"
+
+
+class TestSearchRootPruning:
+    """The search skips candidates whose root a concrete root label rules
+    out: neither update changes the root's label, so they are no witness."""
+
+    def test_pruned_search_finds_the_unpruned_witness(self):
+        first, second = Insert("a[e]/b", "<c/>"), Delete("a/b/c")
+        full = SearchStats()
+        expected = find_commutativity_witness_exhaustive(
+            first, second, max_size=4, stats=full
+        )
+        report = detect_update_update(
+            first, second, exhaustive_cap=4, use_heuristics=False
+        )
+        assert report.verdict is Verdict.CONFLICT
+        assert report.method == "exhaustive"
+        assert isomorphic(report.witness, expected)
+        assert 0 < report.stats["candidates_checked"] < full.candidates_checked
+
+    def test_different_concrete_roots_check_no_candidate(self):
+        report = detect_update_update(
+            Delete("a[c]/b"), Delete("x[d]/y"), exhaustive_cap=3
+        )
+        assert report.verdict is Verdict.UNKNOWN
+        assert report.method == "exhaustive"
+        assert report.stats["candidates_checked"] == 0
+
+    def test_wildcard_root_prunes_nothing_of_its_own(self):
+        first, second = Delete("*[c]/b"), Delete("*[d]/b")
+        full = SearchStats()
+        find_commutativity_witness_exhaustive(
+            first, second, max_size=3, stats=full
+        )
+        report = detect_update_update(
+            first, second, exhaustive_cap=3, use_heuristics=False
+        )
+        assert report.stats["candidates_checked"] == full.candidates_checked
 
 
 class TestReductionStyleInstances:

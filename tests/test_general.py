@@ -13,7 +13,12 @@ from repro.conflicts.general import (
     witness_alphabet,
     witness_size_bound,
 )
-from repro.conflicts.semantics import ConflictKind, Verdict, is_witness
+from repro.conflicts.semantics import (
+    STRIPPED_NOTE,
+    ConflictKind,
+    Verdict,
+    is_witness,
+)
 from repro.operations.ops import Delete, Insert, Read
 from repro.workloads.generators import random_branching_pattern
 from repro.xml.random_trees import random_tree
@@ -158,6 +163,12 @@ class TestDecideConflict:
     def test_stats_exposed(self):
         report = decide_conflict(Read("a[b]"), Insert("a/c", "<d/>"))
         assert "bound" in report.stats
+
+    def test_value_tests_stripped_with_one_note_per_operation(self):
+        report = decide_conflict(
+            Read("a/b[c < 5]"), Delete("a/b[d < 3]/e"), exhaustive_cap=2
+        )
+        assert report.notes.count(STRIPPED_NOTE) == 2
 
 
 class TestAgainstLinearOnLinearInstances:

@@ -22,6 +22,7 @@ import pytest
 from repro import obs
 from repro.conflicts.batch import BatchAnalyzer
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import validate_exposition
 from repro.errors import (
     CacheCorruptWarning,
@@ -32,6 +33,7 @@ from repro.errors import (
 from repro.operations.ops import Delete, Insert, Read
 from repro.resilience import faults
 from repro.service import ConflictService, ServiceClient, ServiceConfig
+from repro.service.admission import AdmissionController
 from repro.service.config import DEFAULT_PORT
 from repro.service.protocol import (
     catalogue_from_specs,
@@ -257,10 +259,11 @@ class TestHttpSurface:
 
     def test_metrics_counters_grow(self, client):
         client.check(Read("m/a"), Delete("m/a/b"))
-        before = client.metrics()["counters"]
+        snap_before = client.metrics()
         client.check(Read("m/a"), Delete("m/a/b"))  # cache hit
         client.check(Read("m/c"), Delete("m/c/d"))  # cache miss
-        after = client.metrics()["counters"]
+        snap_after = client.metrics()
+        before, after = snap_before["counters"], snap_after["counters"]
         key = "service.requests_total{route=check}"
         assert after[key] == before[key] + 2
         assert (
@@ -269,6 +272,11 @@ class TestHttpSurface:
         )
         assert after["service.verdict_cache_misses"] > 0
         assert after["service.admitted_total"] == after[key]
+        # perfbench reads both histograms by name: one observation each
+        # per admitted check.
+        for name in ("service.queue_wait_ms", "service.exec_ms"):
+            count_before = snap_before["histograms"][name]["count"]
+            assert snap_after["histograms"][name]["count"] == count_before + 2
 
     def test_status_codes(self, service):
         import http.client
@@ -327,9 +335,10 @@ class TestOverload:
             rejected = [o for o in outcomes if o == "429"]
             accepted = [o for o in outcomes if o.startswith("ok:")]
             # 1 worker + 1 queue slot against 6 simultaneous requests:
-            # overflow must be rejected immediately, never parked.
-            assert rejected, outcomes
-            assert accepted, outcomes
+            # exactly 2 are admitted, and the overflow is rejected
+            # immediately, never parked.
+            assert len(accepted) == 2, outcomes
+            assert len(rejected) == 4, outcomes
             for outcome in accepted:
                 assert outcome.split(":", 1)[1] in (
                     "conflict", "no-conflict", "unknown"
@@ -359,6 +368,83 @@ class TestOverload:
         finally:
             faults.uninstall()
             service.drain(snapshot=False)
+
+
+class TestAdmissionController:
+    def test_concurrent_runs_keep_both_bounds(self):
+        """More threads than cores against 2 slots and 2 waiters, with a
+        short switch interval: at most 2 decide at once, every request is
+        admitted or rejected, and no admission leaks, so the full
+        ``workers + queue_depth`` is admitted again afterwards."""
+        registry = MetricsRegistry()
+        admission = AdmissionController(2, 2, registry)
+        lock = threading.Lock()
+        running = {"now": 0, "peak": 0}
+        outcomes: list[str] = []
+
+        def decide() -> None:
+            with lock:
+                running["now"] += 1
+                running["peak"] = max(running["peak"], running["now"])
+            time.sleep(0.001)
+            with lock:
+                running["now"] -= 1
+
+        def client() -> None:
+            for _ in range(50):
+                try:
+                    admission.run(decide)
+                    outcome = "ok"
+                except ServiceOverloaded:
+                    outcome = "429"
+                with lock:
+                    outcomes.append(outcome)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(outcomes) == 400
+        assert running["peak"] <= 2
+        snap = registry.snapshot()
+        admitted = snap["counters"]["service.admitted_total"]
+        assert admitted == outcomes.count("ok")
+        assert snap["counters"].get(
+            "service.rejected_total{reason=overload}", 0
+        ) == outcomes.count("429")
+        assert snap["gauges"]["service.queue_depth"] == 0
+
+        release = threading.Event()
+        blockers = [
+            threading.Thread(
+                target=admission.run, args=(lambda: release.wait(30),)
+            )
+            for _ in range(4)
+        ]
+        try:
+            for t in blockers:
+                t.start()
+            deadline = time.monotonic() + 10
+            while (
+                registry.snapshot()["counters"]["service.admitted_total"]
+                < admitted + 4
+            ):
+                assert time.monotonic() < deadline, "capacity leaked"
+                time.sleep(0.01)
+            with pytest.raises(ServiceOverloaded):
+                admission.run(lambda: None)
+        finally:
+            release.set()
+            for t in blockers:
+                t.join(timeout=30)
+        assert not any(t.is_alive() for t in blockers)
 
 
 class TestDrain:
@@ -575,7 +661,7 @@ class TestRequestCorrelation:
         ]
         names = {r["name"] for r in tagged}
         assert "service.http" in names        # handler thread
-        assert "detector.dispatch" in names   # admission worker thread
+        assert "detector.dispatch" in names   # the decision, same thread
         records = [json.loads(line) for line in open(access_path)]
         (check_rec,) = [r for r in records if r["route"] == "check"]
         assert check_rec["request_id"] == "cli-abc.1"
@@ -589,6 +675,27 @@ class TestRequestCorrelation:
         assert any(
             r["route"] == "healthz" and r["method"] == "GET" for r in records
         )
+
+    def test_admitted_bad_request_still_logs_its_timings(self, tmp_path):
+        """A bad XPath is admitted, then rejected while deciding: the 400
+        keeps the queue wait and decide time of its admission."""
+        access_path = str(tmp_path / "access.jsonl")
+        service = make_service(access_log_path=access_path)
+        try:
+            with ServiceClient(port=service.port, request_id="bad-xp") as c:
+                with pytest.raises(ServiceProtocolError):
+                    c.check(
+                        {"op": "read", "xpath": "///"},
+                        {"op": "delete", "xpath": "a/b"},
+                    )
+        finally:
+            service.drain(snapshot=False)
+        records = [json.loads(line) for line in open(access_path)]
+        (record,) = [r for r in records if r["request_id"] == "bad-xp"]
+        assert record["status"] == 400
+        assert record["outcome"] == "bad_request"
+        assert record["queue_wait_ms"] >= 0.0
+        assert record["decide_ms"] >= 0.0
 
     def test_server_mints_id_when_absent(self, client):
         result = client.check(
