@@ -11,17 +11,21 @@ repeats work the catalogue view makes unnecessary:
 
 :class:`BatchAnalyzer` owns the catalogue, so it can do better:
 
-* **canonicalize once** — each operation becomes a picklable
-  :class:`CanonicalOp` at ingestion (O(n) canonicalizations, not O(n²));
+* **plan per shape** — each name computes only its canonical key
+  (:func:`op_key`) and joins the matrix group of that key; each group
+  is canonicalized, profiled and precompiled once (one
+  :class:`CanonicalOp` per group, not per name);
 * **dedup** — pairs are grouped by canonical pair key and each unique
-  key is decided exactly once;
+  key is decided exactly once, on the operations of its two groups;
 * **share** — verdicts live in a
   :class:`~repro.conflicts.verdict_cache.VerdictCache` that can be
   exported, merged across analyzers, and snapshotted to disk, so
   repeated analyses (and future runs) skip decided pairs;
 * **parallelize** — undecided unique pairs are chunked across a process
-  pool (``jobs`` workers), each worker deciding with its own detector
-  and shipping its metrics back into the parent's ``repro.obs`` registry;
+  pool (``jobs`` workers) that receives each referenced group's
+  operation once, as an initializer argument (inherited under ``fork``,
+  pickled under ``spawn``); each worker decides with its own detector
+  and ships its metrics back into the parent's ``repro.obs`` registry;
 * **maintain incrementally** — :meth:`BatchAnalyzer.add_op` /
   :meth:`BatchAnalyzer.remove_op` re-decide only the affected
   row/column instead of rebuilding the
@@ -62,14 +66,12 @@ from repro.errors import ConflictEngineError
 from repro.obs.metrics import MetricsRegistry, histogram_delta
 from repro.obs.trace import current_request_id, set_request_id
 from repro.operations.ops import Delete, Insert, Read, UpdateOp
-from repro.patterns.xpath import parse_xpath, to_xpath
 from repro.resilience import faults
 from repro.xml.isomorphism import canonical_form
-from repro.xml.parser import parse as parse_xml
-from repro.xml.serializer import serialize
 
 __all__ = [
     "Operation",
+    "op_key",
     "CanonicalOp",
     "VerdictCache",
     "ConflictMatrix",
@@ -81,59 +83,47 @@ __all__ = [
 Operation = Read | UpdateOp
 
 
+def op_key(op: Operation) -> OpKey:
+    """The canonical identity of ``op``: ``(kind, pattern form, subtree
+    form or None)``.
+
+    Structurally identical operations get equal keys, so they share one
+    matrix group, one verdict-cache entry per partner and one decision.
+    """
+    if isinstance(op, Insert):
+        return ("Insert", op.pattern.canonical_form(), canonical_form(op.subtree))
+    if isinstance(op, Read | Delete):
+        return (type(op).__name__, op.pattern.canonical_form(), None)
+    raise TypeError(f"not an operation: {type(op).__name__!r}")
+
+
 @dataclass(frozen=True)
 class CanonicalOp:
-    """A picklable canonical form of one operation.
+    """One canonical group's identity and static profile.
 
-    Two roles: the canonical strings are the *identity* (structurally
-    identical operations collapse to equal keys, making pair dedup and
-    verdict sharing possible), and the XPath/XML texts are the *transport*
-    (workers in any start method — fork or spawn — reconstruct an
-    equivalent operation from plain strings).
+    The analyzer builds one per group, from the group's first operation:
+    structurally identical operations collapse to one :attr:`key`, which
+    makes pair dedup and verdict sharing possible.
     """
 
     kind: str  # "Read" | "Insert" | "Delete"
-    xpath: str
     pattern_key: str
-    subtree_xml: str | None = None
-    subtree_key: str | None = None
-    #: Static index keys, computed here — at construction time — so the
-    #: pattern index and the canonicalizer share one traversal instead of
-    #: recomputing trunk alphabets per pair inside the dedup loop.
+    #: Static index keys, computed here so the pattern index consults a
+    #: precomputed profile per pair instead of re-walking the pattern.
     #: Excluded from equality/hash: it is derived from ``pattern_key``.
-    profile: StaticProfile | None = field(default=None, compare=False)
+    profile: StaticProfile = field(compare=False)
+    subtree_key: str | None = None
 
     @classmethod
     def from_operation(cls, op: Operation) -> "CanonicalOp":
-        """Canonicalize ``op`` (the only time its trees are traversed)."""
-        if isinstance(op, Insert):
-            return cls(
-                kind="Insert",
-                xpath=to_xpath(op.pattern),
-                pattern_key=op.pattern.canonical_form(),
-                subtree_xml=serialize(op.subtree),
-                subtree_key=canonical_form(op.subtree),
-                profile=profile_pattern("Insert", op.pattern),
-            )
-        if isinstance(op, Read | Delete):
-            return cls(
-                kind=type(op).__name__,
-                xpath=to_xpath(op.pattern),
-                pattern_key=op.pattern.canonical_form(),
-                profile=profile_pattern(type(op).__name__, op.pattern),
-            )
-        raise TypeError(f"not an operation: {type(op).__name__!r}")
-
-    def to_operation(self) -> Operation:
-        """Rebuild an equivalent operation (used by pool workers)."""
-        if self.kind == "Read":
-            return Read(parse_xpath(self.xpath))
-        if self.kind == "Insert":
-            assert self.subtree_xml is not None
-            return Insert(parse_xpath(self.xpath), parse_xml(self.subtree_xml))
-        if self.kind == "Delete":
-            return Delete(parse_xpath(self.xpath))
-        raise ValueError(f"unknown operation kind {self.kind!r}")
+        """Canonicalize and profile ``op``."""
+        kind, pattern_key, subtree_key = op_key(op)
+        return cls(
+            kind=kind,
+            pattern_key=pattern_key,
+            profile=profile_pattern(kind, op.pattern),
+            subtree_key=subtree_key,
+        )
 
     @property
     def key(self) -> OpKey:
@@ -147,36 +137,28 @@ class CanonicalOp:
 # ----------------------------------------------------------------------
 # Worker-side machinery (module level so both fork and spawn can pickle
 # the entry points).  Each pool worker builds one detector at startup and
-# keeps it, plus a small reconstruction cache so duplicated operands are
-# parsed once per worker.
+# keeps it, with the operands of the pool's pairs.
 # ----------------------------------------------------------------------
 
 _WORKER: dict = {}
 
-#: Parent-side staging area for the ``fork`` start method: the analyzer
-#: drops its already-parsed operations here (keyed by payload index)
-#: right before creating the pool, so forked workers inherit them
-#: copy-on-write and never re-parse the operand XML.  Under ``spawn``
-#: this is empty in the child and :func:`_worker_op` falls back to
-#: rebuilding from the transported XPath/XML strings.
-_FORK_OPS: dict = {}
-
 
 def _worker_init(
     config: DetectorConfig,
-    canon_ops: list[CanonicalOp],
+    operands: list[tuple[Operation, OpKey]],
     fault_spec: str | None = None,
     fault_seed: int = 0,
     request_id: str | None = None,
 ) -> None:
-    # The detector decides on the process-global compiler.  Under ``fork``
-    # the worker inherits it, warmed by ``BatchAnalyzer._precompile`` when
-    # the analyzer compiles on it; under ``spawn`` it starts cold and
-    # compiles each operand on first use.
+    # The operands arrive as initializer arguments: a forked worker
+    # inherits them, a spawned one unpickles them.  The detector decides
+    # on the process-global compiler: under ``fork`` the worker inherits
+    # it, warmed by the analyzer's per-group precompile when the analyzer
+    # compiles on it; under ``spawn`` it starts cold and compiles each
+    # operand on first use.
     detector = ConflictDetector(config=config)
     _WORKER["detector"] = detector
-    _WORKER["canon"] = canon_ops
-    _WORKER["ops"] = dict(_FORK_OPS)
+    _WORKER["operands"] = operands
     _WORKER["counter_base"] = {}
     _WORKER["hist_base"] = {}
     # Bind the request id that created this pool for the worker's whole
@@ -191,30 +173,12 @@ def _worker_init(
         faults.install(faults.FaultInjector.parse(fault_spec, seed=fault_seed))
 
 
-def _worker_op(index: int) -> Operation:
-    op = _WORKER["ops"].get(index)
-    if op is None:
-        op = _WORKER["canon"][index].to_operation()
-        _WORKER["ops"][index] = op
-    return op
-
-
-def _pair_fault_key(canon_a: CanonicalOp, canon_b: CanonicalOp) -> str:
-    """The injection-site key for one pair (embeds both canonical forms).
-
-    Fault rules target pairs through ``only=SUBSTR`` substring matches
-    against this key, so a distinctive label in one operand's pattern
-    singles out its pairs.
-    """
-    return f"{canon_a.key}|{canon_b.key}"
-
-
 def _decide_chunk(
     payload: tuple[list[tuple[int, int, int]], int],
 ) -> tuple[list[tuple[int, str, "str | None"]], dict, int]:
-    """Decide one chunk of ``(pair, op, op)`` index triples.
+    """Decide one chunk of ``(pair, operand, operand)`` index triples.
 
-    Operands travel once per pool (in the initializer payload), so chunks
+    Operands travel once per pool (as initializer arguments), so chunks
     and results are tiny integer tuples — important when operands carry
     multi-kilobyte document fragments.  The attempt number travels with
     the chunk so injected faults can distinguish retries.  Returns
@@ -227,13 +191,15 @@ def _decide_chunk(
     """
     chunk, attempt = payload
     detector: ConflictDetector = _WORKER["detector"]
-    canon: list[CanonicalOp] = _WORKER["canon"]
+    operands: list[tuple[Operation, OpKey]] = _WORKER["operands"]
     out = []
     for pair_index, index_a, index_b in chunk:
-        faults.inject_worker_fault(
-            _pair_fault_key(canon[index_a], canon[index_b]), salt=attempt
-        )
-        report = detector.detect(_worker_op(index_a), _worker_op(index_b))
+        (op_a, key_a), (op_b, key_b) = operands[index_a], operands[index_b]
+        # Fault rules target pairs through ``only=SUBSTR`` substring
+        # matches against this key, so a distinctive label in one
+        # operand's pattern singles out its pairs.
+        faults.inject_worker_fault(f"{key_a}|{key_b}", salt=attempt)
+        report = detector.detect(op_a, op_b)
         out.append((pair_index, report.verdict.value, report.reason))
     metrics = detector.metrics()
     counters = metrics["counters"]
@@ -273,7 +239,8 @@ class _Unit:
 
     The analyzer decides per distinct pair of canonical forms; a unit
     carries the name-pair multiplicity it stands for and the matrix cell
-    (a pair of group ids) its verdict fills.
+    (a pair of group ids) its verdict fills.  Its operands are the
+    operations of those two groups.
     """
 
     key: PairKey
@@ -399,7 +366,10 @@ class BatchAnalyzer:
         )
         self._containment_memo: dict[tuple[OpKey, OpKey], bool] = {}
         self._operations: dict[str, Operation] = {}
-        self._canon: dict[str, CanonicalOp] = {}
+        # Matrix group id -> the group's first operation and its
+        # canonical form: the one operand identity behind deciding,
+        # caching, fault keys and pool shipping.
+        self._groups: dict[int, tuple[Operation, CanonicalOp]] = {}
         self._matrix = ConflictMatrix()
 
     # ------------------------------------------------------------------
@@ -454,18 +424,17 @@ class BatchAnalyzer:
         Accepts a mapping or an iterable of ``(name, operation)`` pairs;
         duplicate names are an error (two different operations would
         silently shadow each other in the matrix).  Replaces any
-        previously analyzed catalogue.
+        previously analyzed catalogue.  A rejected catalogue (a duplicate
+        name or a non-operation) leaves the previous one in place.
         """
         ops = self._normalize_catalogue(operations)
+        keys = {name: op_key(op) for name, op in ops.items()}
         with obs.span("batch.analyze", operations=len(ops), jobs=self.jobs):
             self._operations = ops
-            self._canon = {
-                name: CanonicalOp.from_operation(op) for name, op in ops.items()
-            }
-            self._precompile(ops.values())
+            self._groups = {}
             self._matrix = ConflictMatrix()
-            for name, canon in self._canon.items():
-                self._matrix.add(name, canon.key)
+            for name, key in keys.items():
+                self._join(name, key)
             fingerprint = self.config.fingerprint()
             groups = self._matrix.group_ids()
             units = []
@@ -484,19 +453,19 @@ class BatchAnalyzer:
         An operation structurally identical to one already in the
         catalogue joins that operation's group and shares its cells, so
         at most the group's own pair is decided (when the group had one
-        member) and no existing pair changes.
+        member) and no existing pair changes.  A rejected operation leaves
+        the analyzer as it was.
         """
         if name in self._operations:
             raise ConflictEngineError(
                 f"duplicate operation name {name!r}: remove it first or "
                 "pick a distinct name"
             )
+        key = op_key(operation)
         with obs.span("batch.add_op", existing=len(self._operations)):
             self._operations[name] = operation
-            canon = self._canon[name] = CanonicalOp.from_operation(operation)
-            self._precompile([operation])
+            group = self._join(name, key)
             fingerprint = self.config.fingerprint()
-            group = self._matrix.add(name, canon.key)
             units = []
             for other in self._matrix.group_ids():
                 if not self._matrix.has_cell((other, group)):
@@ -511,9 +480,10 @@ class BatchAnalyzer:
         """Remove one operation and its row/column from the matrix."""
         if name not in self._operations:
             raise ConflictEngineError(f"unknown operation name {name!r}")
-        del self._canon[name]
         del self._operations[name]
-        self._matrix.remove(name)
+        emptied = self._matrix.remove(name)
+        if emptied is not None:
+            del self._groups[emptied]
         self._metrics.inc("batch.incremental_removes")
         return self._matrix
 
@@ -558,19 +528,21 @@ class BatchAnalyzer:
             out[name] = op
         return out
 
-    def _precompile(self, operations: Iterable[Operation]) -> None:
-        """Compile the operand set once, before any pair is decided.
+    def _join(self, name: str, key: OpKey) -> int:
+        """Add ``name`` to the matrix group of ``key``; the group id.
 
-        Interns every pattern and derives trunks/prefixes up front so the
-        per-pair decisions (serial, or in workers forked afterwards) hit a
-        warm compile cache from the first query.
+        A new group is canonicalized, profiled and precompiled once, from
+        this name's operation, so the per-pair decisions (serial, or in
+        workers forked afterwards) hit a warm compile cache from the first
+        query.  A name joining an existing group costs nothing more.
         """
-        count = 0
-        with obs.span("batch.precompile"):
-            for op in operations:
-                self._compiler.precompile(op)
-                count += 1
-        self._metrics.inc("batch.ops_precompiled", count)
+        group = self._matrix.add(name, key)
+        if group not in self._groups:
+            operation = self._operations[name]
+            self._groups[group] = (operation, CanonicalOp.from_operation(operation))
+            self._compiler.precompile(operation)
+            self._metrics.inc("batch.ops_precompiled")
+        return group
 
     def _make_unit(self, fingerprint: tuple, pair: tuple[int, int]) -> "_Unit | None":
         """The unit deciding the matrix cell of a group pair (``None``: a
@@ -578,13 +550,12 @@ class BatchAnalyzer:
         multiplicity = self._matrix.multiplicity(pair)
         if multiplicity == 0:
             return None
-        rep = self._matrix.representative(pair)
-        canon_a, canon_b = self._canon[rep[0]], self._canon[rep[1]]
+        canon_a, canon_b = self._groups[pair[0]][1], self._groups[pair[1]][1]
         return _Unit(
-            key=VerdictCache.pair_key(fingerprint, canon_a, canon_b),
+            key=VerdictCache.pair_key(fingerprint, canon_a.key, canon_b.key),
             canon_a=canon_a,
             canon_b=canon_b,
-            rep=rep,
+            rep=self._matrix.representative(pair),
             multiplicity=multiplicity,
             cell=pair,
         )
@@ -610,11 +581,7 @@ class BatchAnalyzer:
                 self._fill_unit(unit, Verdict.NO_CONFLICT, None, "trivial")
                 trivial += unit.multiplicity
                 continue
-            if (
-                self._pattern_index is not None
-                and canon_a.profile is not None
-                and canon_b.profile is not None
-            ):
+            if self._pattern_index is not None:
                 why = self._pattern_index.discharge(canon_a.profile, canon_b.profile)
                 if why is not None:
                     self._fill_unit(unit, Verdict.NO_CONFLICT, None, why)
@@ -657,13 +624,9 @@ class BatchAnalyzer:
             discharged_containment += unit.multiplicity
 
         start = time.perf_counter()
-        round_one = {
-            key: [unit.rep] for key, unit in pending.items() if key not in deferred
-        }
-        outcomes: dict[PairKey, tuple[Verdict, "str | None"]] = dict(
-            self._decide_unique(round_one)
-        )
-        fallback: dict[PairKey, list[tuple[str, str]]] = {}
+        round_one = [unit for key, unit in pending.items() if key not in deferred]
+        outcomes = self._decide_unique(round_one)
+        fallback: list[_Unit] = []
         for key, (parent_key, parent_name) in deferred.items():
             parent = outcomes.get(parent_key)
             if (
@@ -679,7 +642,7 @@ class BatchAnalyzer:
             else:
                 # The hoped-for parent verdict did not materialize (a
                 # conflict, or a degraded run): decide the child for real.
-                fallback[key] = [pending[key].rep]
+                fallback.append(pending[key])
         if fallback:
             outcomes.update(self._decide_unique(fallback))
         self._metrics.observe(
@@ -732,8 +695,6 @@ class BatchAnalyzer:
             if oriented is None:
                 return
             read, update = oriented
-            if read.profile is None or update.profile is None:
-                return
             read_name = unit.rep[0] if unit.canon_a.is_read else unit.rep[1]
             groups.setdefault(update.key, []).append(
                 {
@@ -838,28 +799,19 @@ class BatchAnalyzer:
             self._metrics.inc("batch.pairs_degraded", unit.multiplicity, reason=reason)
 
     def _decide_unique(
-        self, pending: dict[PairKey, list[tuple[str, str]]]
+        self, units: "list[_Unit]"
     ) -> dict[PairKey, tuple[Verdict, "str | None"]]:
-        if not pending:
+        if not units:
             return {}
-        items = [
-            (key, self._canon[names[0][0]], self._canon[names[0][1]])
-            for key, names in pending.items()
-        ]
-        if self.jobs > 1 and len(items) >= self.MIN_PARALLEL_PAIRS:
-            op_by_key = {
-                self._canon[name].key: self._operations[name]
-                for names in pending.values()
-                for name in names[0]
-            }
+        if self.jobs > 1 and len(units) >= self.MIN_PARALLEL_PAIRS:
             try:
-                return self._decide_parallel(items, op_by_key)
+                return self._decide_parallel(units)
             except OSError:  # pool unavailable (sandboxes, process limits)
                 self._metrics.inc("batch.pool_failures")
-        return self._decide_serial(pending)
+        return self._decide_serial(units)
 
     def _decide_serial(
-        self, pending: dict[PairKey, list[tuple[str, str]]]
+        self, units: "list[_Unit]"
     ) -> dict[PairKey, tuple[Verdict, "str | None"]]:
         if self._detector is None:
             self._detector = ConflictDetector(
@@ -868,21 +820,21 @@ class BatchAnalyzer:
                 registry=self._metrics,
             )
         out: dict[PairKey, tuple[Verdict, str | None]] = {}
-        with obs.span("batch.decide_serial", pairs=len(pending)):
-            for key, names in pending.items():
-                name_a, name_b = names[0]
+        with obs.span("batch.decide_serial", pairs=len(units)):
+            for unit in units:
+                first, second = unit.cell
                 report = self._detector.detect(
-                    self._operations[name_a], self._operations[name_b]
+                    self._groups[first][0], self._groups[second][0]
                 )
-                out[key] = (report.verdict, report.reason)
-        self._metrics.inc("batch.pairs_decided", len(pending))
+                out[unit.key] = (report.verdict, report.reason)
+        self._metrics.inc("batch.pairs_decided", len(units))
         return out
 
     def _make_pool(
         self,
         context: multiprocessing.context.BaseContext,
         jobs: int,
-        payload_ops: list[CanonicalOp],
+        operands: list[tuple[Operation, OpKey]],
     ) -> "multiprocessing.pool.Pool":
         injector = faults.current()
         return context.Pool(
@@ -890,7 +842,7 @@ class BatchAnalyzer:
             initializer=_worker_init,
             initargs=(
                 self.config,
-                payload_ops,
+                operands,
                 injector.spec() if injector is not None else None,
                 injector.seed if injector is not None else 0,
                 current_request_id(),
@@ -903,7 +855,7 @@ class BatchAnalyzer:
         reason: str,
         queue: "deque[_Chunk]",
         out: dict[PairKey, tuple[Verdict, "str | None"]],
-        items: list[tuple[PairKey, CanonicalOp, CanonicalOp]],
+        units: "list[_Unit]",
     ) -> None:
         """Route one failed chunk: split, retry with backoff, or quarantine.
 
@@ -925,33 +877,30 @@ class BatchAnalyzer:
             queue.appendleft(_Chunk(chunk.triples, chunk.attempt + 1))
         else:
             for pair_index, _, _ in chunk.triples:
-                out[items[pair_index][0]] = (Verdict.UNKNOWN, reason)
+                out[units[pair_index].key] = (Verdict.UNKNOWN, reason)
             self._metrics.inc(
                 "batch.chunks_quarantined", len(chunk.triples), reason=reason
             )
 
     def _decide_parallel(
-        self,
-        items: list[tuple[PairKey, CanonicalOp, CanonicalOp]],
-        op_by_key: dict[OpKey, Operation],
+        self, units: "list[_Unit]"
     ) -> dict[PairKey, tuple[Verdict, "str | None"]]:
-        jobs = min(self.jobs, len(items))
-        # Deduplicate operands into one indexed payload shipped with the
-        # pool initializer; chunks and results are integer triples, so
-        # per-chunk IPC stays tiny even with multi-kilobyte fragments.
-        op_indices: dict[OpKey, int] = {}
-        payload_ops: list[CanonicalOp] = []
-        triples: list[tuple[int, int, int]] = []
-        for pair_index, (_, canon_a, canon_b) in enumerate(items):
-            indexes = []
-            for canon in (canon_a, canon_b):
-                index = op_indices.get(canon.key)
-                if index is None:
-                    index = len(payload_ops)
-                    op_indices[canon.key] = index
-                    payload_ops.append(canon)
-                indexes.append(index)
-            triples.append((pair_index, indexes[0], indexes[1]))
+        jobs = min(self.jobs, len(units))
+        # Ship each referenced group's operation once, with the pool
+        # initializer; chunks and results are integer triples into that
+        # list, so per-chunk IPC stays tiny even with multi-kilobyte
+        # fragments.
+        slot: dict[int, int] = {}  # group id -> its index in operands
+        for unit in units:
+            for group in unit.cell:
+                slot.setdefault(group, len(slot))
+        operands = [
+            (self._groups[group][0], self._groups[group][1].key) for group in slot
+        ]
+        triples = [
+            (pair_index, slot[unit.cell[0]], slot[unit.cell[1]])
+            for pair_index, unit in enumerate(units)
+        ]
         # Round-robin chunks spread structurally similar (often equally
         # expensive) neighbors across workers; several chunks per worker
         # lets fast workers steal the tail.
@@ -962,13 +911,9 @@ class BatchAnalyzer:
         queue: deque[_Chunk] = deque(_Chunk(chunk) for chunk in chunk_lists)
         out: dict[PairKey, tuple[Verdict, str | None]] = {}
         workers_seen: set[int] = set()
-        with obs.span("batch.decide_parallel", pairs=len(items), jobs=jobs):
+        with obs.span("batch.decide_parallel", pairs=len(units), jobs=jobs):
             context = _preferred_context()
-            if context.get_start_method() == "fork":
-                _FORK_OPS.update(
-                    {index: op_by_key[key] for key, index in op_indices.items()}
-                )
-            pool = self._make_pool(context, jobs, payload_ops)
+            pool = self._make_pool(context, jobs, operands)
             try:
                 # Dispatch loop with per-chunk failure isolation.  Chunks
                 # are submitted individually (apply_async) so a crashed or
@@ -1010,9 +955,9 @@ class BatchAnalyzer:
                         for other, _ in inflight:
                             queue.append(other)
                         inflight.clear()
-                        pool = self._make_pool(context, jobs, payload_ops)
+                        pool = self._make_pool(context, jobs, operands)
                         self._handle_chunk_failure(
-                            chunk, "timeout", queue, out, items
+                            chunk, "timeout", queue, out, units
                         )
                     except Exception as exc:
                         # The worker raised (or died): the exception comes
@@ -1027,13 +972,13 @@ class BatchAnalyzer:
                             for other, _ in inflight:
                                 queue.append(other)
                             inflight.clear()
-                            pool = self._make_pool(context, jobs, payload_ops)
+                            pool = self._make_pool(context, jobs, operands)
                         self._handle_chunk_failure(
-                            chunk, "worker_crash", queue, out, items
+                            chunk, "worker_crash", queue, out, units
                         )
                     else:
                         for pair_index, value, reason in rows:
-                            out[items[pair_index][0]] = (Verdict(value), reason)
+                            out[units[pair_index].key] = (Verdict(value), reason)
                         self._metrics.absorb(delta)
                         self._metrics.inc("batch.worker_chunks")
                         self._metrics.inc(
@@ -1043,9 +988,8 @@ class BatchAnalyzer:
             finally:
                 pool.terminate()
                 pool.join()
-                _FORK_OPS.clear()
         self._metrics.set_gauge("batch.workers_used", len(workers_seen))
-        self._metrics.inc("batch.pairs_decided", len(items))
+        self._metrics.inc("batch.pairs_decided", len(units))
         return out
 
 

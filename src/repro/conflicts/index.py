@@ -4,9 +4,10 @@ Whole-catalogue analysis is quadratic in *decisions*: ``n`` operations
 mean ``n(n-1)/2`` pairs, and every pair that reaches a decision procedure
 pays for automaton compilation, witness search, or both.  This module
 discharges pairs whose independence is evident from cheap static keys
-computed **once per operation** (at :class:`CanonicalOp` construction
-time), so that disjoint pairs never touch the compiler, the verdict
-cache, or the worker pool.
+computed **once per canonical group** (when the batch analyzer builds
+the group's :class:`~repro.conflicts.batch.CanonicalOp`), so that
+disjoint pairs never touch the compiler, the verdict cache, or the
+worker pool.
 
 Two layers (``docs/INDEXING.md`` carries the full soundness argument):
 
@@ -51,9 +52,8 @@ _DELETE = "Delete"
 class StaticProfile:
     """Static keys of one operation's pattern, computed at canonicalization.
 
-    All fields are plain values (picklable, hashable) so profiles travel
-    inside :class:`~repro.conflicts.batch.CanonicalOp` across process
-    boundaries and serve as memo keys.
+    All fields are plain, hashable values, so profiles serve as memo
+    keys.
 
     * ``chain`` — labels of the *deterministic prefix*: starting at the
       root, follow the unique child while the current node has exactly one
@@ -272,27 +272,18 @@ def discharge(
 
 
 class PatternIndex:
-    """Memoized pairwise discharge over :class:`StaticProfile` buckets.
+    """Memoized pairwise discharge over :class:`StaticProfile` pairs.
 
-    The degenerate bucket view — group operands by ``chain[0]`` (root
-    label) and discharge cross-bucket read/update pairs — is the position
-    ``i = 0`` case of the chain rule; :meth:`bucket` exposes that key for
-    diagnostics and benchmarks.  ``discharge`` applies the full rule set
-    and memoizes per distinct profile pair, so a catalogue with ``G``
-    distinct patterns pays at most ``G²`` rule evaluations regardless of
-    how many name pairs those profiles cover.
+    ``discharge`` applies the full rule set and memoizes per distinct
+    profile pair, so a catalogue with ``G`` distinct patterns pays at most
+    ``G²`` rule evaluations regardless of how many name pairs those
+    profiles cover.
     """
 
     def __init__(self, *, kind: ConflictKind, exhaustive_cap: int | None) -> None:
         self.kind = kind
         self.exhaustive_cap = exhaustive_cap
         self._memo: dict[tuple[StaticProfile, StaticProfile], str | None] = {}
-
-    @staticmethod
-    def bucket(profile: StaticProfile) -> tuple[str, str | None]:
-        """Cheap bucket key: op class (read/write) and root label."""
-        op_class = "read" if profile.is_read else "write"
-        return (op_class, profile.chain[0])
 
     def discharge(self, first: StaticProfile, second: StaticProfile) -> str | None:
         key = (first, second) if first.kind <= second.kind else (second, first)

@@ -94,8 +94,12 @@ class ConflictMatrix:
         self.names.append(name)
         return group
 
-    def remove(self, name: str) -> None:
-        """Drop ``name``, and every cell that no longer covers a name pair."""
+    def remove(self, name: str) -> int | None:
+        """Drop ``name``, and every cell that no longer covers a name pair.
+
+        Returns the id of the group ``name`` leaves empty (the group is
+        gone with it), or ``None`` when the group keeps other members.
+        """
         self.names.remove(name)
         group = self._group_of.pop(name)
         members = self._members[group]
@@ -108,6 +112,8 @@ class ConflictMatrix:
                 del self._group_by_key[key]
             for pair in [pair for pair in self._cells if group in pair]:
                 del self._cells[pair]
+            return group
+        return None
 
     def group_ids(self) -> list[int]:
         """Every group id, in the order the groups first appeared."""

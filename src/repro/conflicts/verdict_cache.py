@@ -23,7 +23,6 @@ import shutil
 import threading
 import warnings
 from collections.abc import Iterable
-from typing import Protocol
 
 from repro.conflicts.semantics import Verdict
 from repro.errors import (
@@ -42,14 +41,6 @@ OpKey = tuple[str, str, "str | None"]
 
 #: Cache key of one unordered pair under one detector configuration.
 PairKey = tuple[tuple, OpKey, OpKey]
-
-
-class HasOpKey(Protocol):
-    """Anything carrying an :data:`OpKey` as ``.key``, such as
-    :class:`repro.conflicts.batch.CanonicalOp`."""
-
-    @property
-    def key(self) -> OpKey: ...
 
 
 class VerdictCache:
@@ -84,14 +75,9 @@ class VerdictCache:
         return f"{os.fspath(path)}.shard{shard_id}"
 
     @staticmethod
-    def pair_key(
-        fingerprint: tuple,
-        first: HasOpKey | OpKey,
-        second: HasOpKey | OpKey,
-    ) -> PairKey:
-        """The canonical (unordered) key for one pair of operations."""
-        key_a = getattr(first, "key", first)
-        key_b = getattr(second, "key", second)
+    def pair_key(fingerprint: tuple, key_a: OpKey, key_b: OpKey) -> PairKey:
+        """The canonical (unordered) key for one pair of operations, given
+        their keys (see :func:`repro.conflicts.batch.op_key`)."""
         if key_b < key_a:
             key_a, key_b = key_b, key_a
         return (tuple(fingerprint), key_a, key_b)

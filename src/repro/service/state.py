@@ -35,7 +35,7 @@ import time
 from collections.abc import Mapping
 
 from repro.compile.compiler import global_compiler
-from repro.conflicts.batch import BatchAnalyzer, CanonicalOp
+from repro.conflicts.batch import BatchAnalyzer, op_key
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
 from repro.conflicts.semantics import ConflictReport, Verdict
 from repro.conflicts.verdict_cache import VerdictCache
@@ -106,19 +106,17 @@ class ServiceState:
         first = protocol.op_from_spec(payload["first"], name="first")
         second = protocol.op_from_spec(payload["second"], name="second")
         config = self._detector_config(payload)
-        canon_a = CanonicalOp.from_operation(first)
-        canon_b = CanonicalOp.from_operation(second)
-        faults.inject_shard_fault(
-            self._shard_fault_key("check", f"{canon_a.key}|{canon_b.key}")
-        )
-        if canon_a.is_read and canon_b.is_read:
+        key_a, key_b = op_key(first), op_key(second)
+        fault_key = f"{key_a}|{key_b}"
+        faults.inject_shard_fault(self._shard_fault_key("check", fault_key))
+        if key_a[0] == key_b[0] == "Read":
             return self._check_payload(
                 verdict=Verdict.NO_CONFLICT.value,
                 kind=config.kind.value,
                 method="read-read-trivial",
                 request_id=request_id,
             )
-        key = VerdictCache.pair_key(config.fingerprint(), canon_a, canon_b)
+        key = VerdictCache.pair_key(config.fingerprint(), key_a, key_b)
         hit = self.cache.get(key)
         if hit is not None:
             self.registry.inc("service.verdict_cache_hits")
@@ -130,9 +128,7 @@ class ServiceState:
                 request_id=request_id,
             )
         self.registry.inc("service.verdict_cache_misses")
-        report = self._decide(
-            first, second, config, canon_a, canon_b, request_id=request_id
-        )
+        report = self._decide(first, second, config, fault_key, request_id=request_id)
         if report.reason is None:
             self.cache.put(key, report.verdict)
             self.registry.set_gauge("service.cache_entries", len(self.cache))
@@ -235,19 +231,17 @@ class ServiceState:
         first,
         second,
         config: DetectorConfig,
-        canon_a: CanonicalOp,
-        canon_b: CanonicalOp,
+        fault_key: str,
         request_id: str | None = None,
     ) -> ConflictReport:
         """One pair decision with in-service crash retry.
 
-        The fault key matches the batch engine's, so a ``REPRO_FAULTS``
-        spec targets service decisions and pool workers alike; ``salt``
-        is the attempt number, so ``first``-scoped crash rules fire once
-        and the retry recovers — the suite stays green under the CI
-        fault-injection job.
+        ``fault_key`` matches the batch engine's pair key, so a
+        ``REPRO_FAULTS`` spec targets service decisions and pool workers
+        alike; ``salt`` is the attempt number, so ``first``-scoped crash
+        rules fire once and the retry recovers — the suite stays green
+        under the CI fault-injection job.
         """
-        fault_key = f"{canon_a.key}|{canon_b.key}"
         last_error: Exception | None = None
         for attempt in range(self.config.decide_retries + 1):
             try:

@@ -9,11 +9,13 @@ import random
 import pytest
 
 from repro.conflicts.api import AnalysisConfig, analyze
+from repro.conflicts import batch
 from repro.conflicts.batch import (
     BatchAnalyzer,
     CanonicalOp,
     ConflictMatrix,
     VerdictCache,
+    op_key,
     reference_matrix,
 )
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
@@ -21,7 +23,6 @@ from repro.conflicts.semantics import Verdict
 from repro.errors import ConflictEngineError
 from repro.obs.metrics import MetricsRegistry
 from repro.operations.ops import Delete, Insert, Read
-from repro.xml.isomorphism import canonical_form
 
 OPERATIONS = {
     "titles": Read("bib/book/title"),
@@ -39,22 +40,10 @@ def assert_same_verdicts(matrix_a: ConflictMatrix, matrix_b: ConflictMatrix) -> 
 
 
 class TestCanonicalOp:
-    def test_roundtrip_read(self):
-        canon = CanonicalOp.from_operation(Read("bib//book/title"))
-        rebuilt = canon.to_operation()
-        assert isinstance(rebuilt, Read)
-        assert rebuilt.pattern.canonical_form() == canon.pattern_key
-
-    def test_roundtrip_insert(self):
-        canon = CanonicalOp.from_operation(Insert("a/b", "<c><d/></c>"))
-        rebuilt = canon.to_operation()
-        assert isinstance(rebuilt, Insert)
-        assert canonical_form(rebuilt.subtree) == canon.subtree_key
-
     def test_structurally_identical_ops_share_a_key(self):
         one = CanonicalOp.from_operation(Insert("a/b", "<c><d/><e/></c>"))
         two = CanonicalOp.from_operation(Insert("a/b", "<c><e/><d/></c>"))
-        assert one.key == two.key
+        assert one.key == two.key == op_key(Insert("a/b", "<c><e/><d/></c>"))
 
     def test_different_ops_differ(self):
         assert (
@@ -65,6 +54,8 @@ class TestCanonicalOp:
     def test_rejects_non_operations(self):
         with pytest.raises(TypeError):
             CanonicalOp.from_operation("read a/b")
+        with pytest.raises(TypeError):
+            op_key("read a/b")
 
 
 class TestVerdictCache:
@@ -109,8 +100,8 @@ class TestVerdictCache:
 
     def test_fingerprints_keep_configurations_apart(self):
         cache = VerdictCache()
-        op_a = CanonicalOp.from_operation(Insert("a/b", "<x/>"))
-        op_b = CanonicalOp.from_operation(Insert("a/c", "<y/>"))
+        op_a = op_key(Insert("a/b", "<x/>"))
+        op_b = op_key(Insert("a/c", "<y/>"))
         key_small = VerdictCache.pair_key(
             DetectorConfig(exhaustive_cap=2).fingerprint(), op_a, op_b
         )
@@ -128,13 +119,13 @@ class TestVerdictCache:
         restock = Insert("inv/item", "<note>x</note>")
         key = VerdictCache.pair_key(
             DetectorConfig().fingerprint(),
-            CanonicalOp.from_operation(purge),
-            CanonicalOp.from_operation(restock),
+            CanonicalOp.from_operation(purge).key,
+            CanonicalOp.from_operation(restock).key,
         )
         decided = VerdictCache.pair_key(
             DetectorConfig().fingerprint(),
-            CanonicalOp.from_operation(purge),
-            CanonicalOp.from_operation(Insert("bib/book", "<stale/>")),
+            CanonicalOp.from_operation(purge).key,
+            CanonicalOp.from_operation(Insert("bib/book", "<stale/>")).key,
         )
         cache = VerdictCache()
         cache.put(key, Verdict.UNKNOWN)
@@ -221,6 +212,29 @@ class TestBatchAnalyzer:
         with pytest.raises(ConflictEngineError):
             BatchAnalyzer().remove_op("ghost")
 
+    def test_rejected_add_op_leaves_the_analyzer_as_it_was(self):
+        analyzer = BatchAnalyzer()
+        analyzer.analyze({"r": Read("a/b"), "d": Delete("a/b")})
+        with pytest.raises(TypeError):
+            analyzer.add_op("x", "read a/b")
+        assert list(analyzer.operations) == ["r", "d"]
+        assert analyzer.matrix.names == ["r", "d"]
+        with pytest.raises(ConflictEngineError):
+            analyzer.remove_op("x")
+        matrix = analyzer.add_op("x", Read("a/c"))
+        assert list(matrix.pairs()) == list(
+            reference_matrix(analyzer.operations).pairs()
+        )
+
+    def test_rejected_catalogue_leaves_the_previous_one(self):
+        analyzer = BatchAnalyzer()
+        analyzer.analyze({"r": Read("a/b"), "d": Delete("a/b")})
+        with pytest.raises(TypeError):
+            analyzer.analyze({"r2": Read("a/c"), "bad": 42})
+        assert list(analyzer.operations) == ["r", "d"]
+        assert analyzer.matrix.names == ["r", "d"]
+        assert analyzer.matrix.verdict("r", "d") is Verdict.CONFLICT
+
     def test_shared_cache_across_analyzers(self):
         cache = VerdictCache()
         BatchAnalyzer(cache=cache).analyze(OPERATIONS)
@@ -234,6 +248,55 @@ class TestBatchAnalyzer:
         analyzer = BatchAnalyzer()
         analyzer.analyze(OPERATIONS)
         assert analyzer.schedule() == analyze(OPERATIONS, mode="schedule")
+
+
+def two_shape_catalogue() -> dict:
+    """Eight names over two shapes, every operation built separately."""
+    ops = {f"title{index}": Read("bib/book/title") for index in range(5)}
+    ops.update({f"purge{index}": Delete("bib/book") for index in range(3)})
+    return ops
+
+
+class TestPlanPerShape:
+    """Names join canonical groups; each group is canonicalized,
+    profiled and precompiled once."""
+
+    def test_each_shape_is_profiled_and_precompiled_once(self, monkeypatch):
+        profiled = []
+        profile_pattern = batch.profile_pattern
+
+        def counting(kind, pattern):
+            profiled.append(kind)
+            return profile_pattern(kind, pattern)
+
+        monkeypatch.setattr(batch, "profile_pattern", counting)
+        catalogue = two_shape_catalogue()
+        analyzer = BatchAnalyzer()
+        matrix = analyzer.analyze(catalogue)
+        assert sorted(profiled) == ["Delete", "Read"]
+        assert analyzer.metrics()["counters"]["batch.ops_precompiled"] == 2
+        assert list(matrix.pairs()) == list(reference_matrix(catalogue).pairs())
+
+    def test_matrix_remove_reports_the_group_it_empties(self):
+        matrix = ConflictMatrix()
+        group = matrix.add("a", "shape")
+        matrix.add("b", "shape")
+        assert matrix.remove("a") is None
+        assert matrix.remove("b") == group
+        assert matrix.group_ids() == []
+
+    def test_removing_and_re_adding_a_whole_shape(self):
+        analyzer = BatchAnalyzer()
+        analyzer.analyze(two_shape_catalogue())
+        for name in ("purge0", "purge1", "purge2"):
+            analyzer.remove_op(name)
+        matrix = analyzer.add_op("purge", Delete("bib/book"))
+        assert list(matrix.pairs()) == list(
+            reference_matrix(analyzer.operations).pairs()
+        )
+        # The emptied group went with its last member: the shape came
+        # back as a new group, profiled and precompiled again.
+        assert analyzer.metrics()["counters"]["batch.ops_precompiled"] == 3
 
 
 def large_catalogue() -> dict:

@@ -349,12 +349,19 @@ class TestDetectorCacheKeyGenerations:
 SPAWN_OPS = {
     "titles": Read(parse_xpath("bib/book/title")),
     "prices": Read(parse_xpath("bib//price")),
+    "cheap-titles": Read(parse_xpath("bib/book[price < 10]/title")),
     "restock": Insert(parse_xpath("bib/book"), "<restock/>"),
     "tag": Insert(parse_xpath("bib//author"), "<tagged/>"),
+    "annotate": Insert(parse_xpath("bib/book"), "<note>x</note>"),
     "purge": Delete(parse_xpath("bib/book")),
+    # A second name with an existing shape: it joins purge's group.
+    "purge-again": Delete(parse_xpath("bib/book")),
 }
 
-# The spawn tests exercise operand transport, not search depth: a small
+#: Canonical groups of SPAWN_OPS (one shape appears twice).
+SPAWN_GROUPS = len(SPAWN_OPS) - 1
+
+# The spawn tests exercise operand shipping, not search depth: a small
 # exhaustive cap keeps the NP-side update-update pairs cheap while still
 # deciding every pair the same way on both sides of the comparison.
 SPAWN_CONFIG = DetectorConfig(exhaustive_cap=4)
@@ -364,9 +371,9 @@ class TestSpawnRoundTrip:
     def test_spawn_workers_receive_seeded_compilers(self, monkeypatch):
         """A spawn pool (no inherited memory) must match the reference.
 
-        Workers rebuild every operation from its transported canonical
-        strings and compile it on first use, so verdict equality here
-        proves the transport reconstructs every pattern identically.
+        Workers unpickle each group's operation (value tests and subtree
+        text included) and compile it on first use, so verdict equality
+        here proves shipping preserves every operand.
         """
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         cache = VerdictCache()
@@ -379,8 +386,9 @@ class TestSpawnRoundTrip:
         )
         assert list(matrix.pairs()) == list(reference.pairs())
         assert len(cache) > 0
-        assert analyzer.metrics()["counters"].get("batch.ops_precompiled") == len(
-            SPAWN_OPS
+        assert (
+            analyzer.metrics()["counters"].get("batch.ops_precompiled")
+            == SPAWN_GROUPS
         )
 
         # A second analyzer sharing the verdict cache answers everything
@@ -397,4 +405,9 @@ class TestSpawnRoundTrip:
         forked = BatchAnalyzer(SPAWN_CONFIG, jobs=2).analyze(SPAWN_OPS)
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         spawned = BatchAnalyzer(SPAWN_CONFIG, jobs=2).analyze(SPAWN_OPS)
+        reference = reference_matrix(
+            SPAWN_OPS,
+            ConflictDetector(exhaustive_cap=4, compiler=PatternCompiler()),
+        )
         assert list(forked.pairs()) == list(spawned.pairs())
+        assert list(spawned.pairs()) == list(reference.pairs())

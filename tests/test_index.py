@@ -234,12 +234,6 @@ class TestDischargeRules:
         assert index.discharge(update, read) == "index:chain"
         assert len(index._memo) == 1
 
-    def test_bucket_key(self):
-        read = profile_pattern("Read", Read("bib/book").pattern)
-        update = profile_pattern("Delete", Delete("bib/book").pattern)
-        assert PatternIndex.bucket(read) == ("read", "bib")
-        assert PatternIndex.bucket(update) == ("write", "bib")
-
 
 class TestResultContainment:
     def test_descendant_generalizes_child_chain(self):

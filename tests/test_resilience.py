@@ -27,6 +27,7 @@ from repro.conflicts.batch import (
     BatchAnalyzer,
     VerdictCache,
     _preferred_context,
+    op_key,
     reference_matrix,
 )
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
@@ -445,7 +446,9 @@ class TestBatchHardening:
         fingerprint = analyzer.config.fingerprint()
         for a, b, _ in matrix.degraded_pairs():
             key = VerdictCache.pair_key(
-                fingerprint, analyzer._canon[a], analyzer._canon[b]
+                fingerprint,
+                op_key(analyzer.operations[a]),
+                op_key(analyzer.operations[b]),
             )
             assert analyzer.cache.get(key) is None
         # A healthy re-run (shared cache) decides the quarantined pairs.
@@ -487,8 +490,8 @@ class TestBatchHardening:
 class TestStartMethodOverride:
     def test_spawn_regression(self, monkeypatch):
         """Force ``spawn`` workers: verdicts must match the serial
-        reference with zero pool failures (operands rebuilt from their
-        transported canonical strings, not inherited via fork)."""
+        reference with zero pool failures (operands unpickled from the
+        pool's initializer arguments, not inherited via fork)."""
         if "spawn" not in __import__("multiprocessing").get_all_start_methods():
             pytest.skip("spawn start method unavailable")
         ops = small_catalogue()
