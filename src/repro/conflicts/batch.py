@@ -15,6 +15,9 @@ repeats work the catalogue view makes unnecessary:
   (:func:`op_key`) and joins the matrix group of that key; each group
   is canonicalized, profiled and precompiled once (one
   :class:`CanonicalOp` per group, not per name);
+* **skip read/read pairs** — two reads never conflict, so the matrix
+  answers a pair of read groups itself and only group pairs that hold an
+  update become decision units;
 * **dedup** — pairs are grouped by canonical pair key and each unique
   key is decided exactly once, on the operations of its two groups;
 * **share** — verdicts live in a
@@ -106,32 +109,27 @@ class CanonicalOp:
     makes pair dedup and verdict sharing possible.
     """
 
-    kind: str  # "Read" | "Insert" | "Delete"
-    pattern_key: str
+    #: The canonical identity, as :func:`op_key` returns it.
+    key: OpKey
     #: Static index keys, computed here so the pattern index consults a
     #: precomputed profile per pair instead of re-walking the pattern.
-    #: Excluded from equality/hash: it is derived from ``pattern_key``.
+    #: Excluded from equality/hash: it is derived from ``key``.
     profile: StaticProfile = field(compare=False)
-    subtree_key: str | None = None
 
     @classmethod
     def from_operation(cls, op: Operation) -> "CanonicalOp":
         """Canonicalize and profile ``op``."""
-        kind, pattern_key, subtree_key = op_key(op)
-        return cls(
-            kind=kind,
-            pattern_key=pattern_key,
-            profile=profile_pattern(kind, op.pattern),
-            subtree_key=subtree_key,
-        )
+        key = op_key(op)
+        return cls(key=key, profile=profile_pattern(key[0], op.pattern))
 
     @property
-    def key(self) -> OpKey:
-        return (self.kind, self.pattern_key, self.subtree_key)
+    def kind(self) -> str:
+        """``"Read"``, ``"Insert"`` or ``"Delete"``."""
+        return self.key[0]
 
     @property
     def is_read(self) -> bool:
-        return self.kind == "Read"
+        return self.key[0] == "Read"
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +233,8 @@ def _preferred_context() -> multiprocessing.context.BaseContext:
 
 @dataclass
 class _Unit:
-    """One unordered pair of canonical *groups* awaiting a verdict.
+    """One unordered pair of canonical *groups*, at least one of them an
+    update group, awaiting a verdict.
 
     The analyzer decides per distinct pair of canonical forms; a unit
     carries the name-pair multiplicity it stands for and the matrix cell
@@ -437,13 +436,19 @@ class BatchAnalyzer:
                 self._join(name, key)
             fingerprint = self.config.fingerprint()
             groups = self._matrix.group_ids()
+            reads = {group for group in groups if self._groups[group][1].is_read}
             units = []
             for i, first in enumerate(groups):
                 for second in groups[i:]:
+                    if first in reads and second in reads:
+                        continue  # the matrix answers read/read pairs itself
                     unit = self._make_unit(fingerprint, (first, second))
                     if unit is not None:
                         units.append(unit)
-            self._resolve_units(units, containment=self.containment)
+            read_names = sum(key[0] == "Read" for key in keys.values())
+            self._resolve_units(
+                units, read_names * (read_names - 1) // 2, containment=self.containment
+            )
         return self._matrix
 
     def add_op(self, name: str, operation: Operation) -> ConflictMatrix:
@@ -467,12 +472,15 @@ class BatchAnalyzer:
             group = self._join(name, key)
             fingerprint = self.config.fingerprint()
             units = []
+            # ``has_cell`` holds for read/read pairs, so only pairs with
+            # an update group become units.
             for other in self._matrix.group_ids():
                 if not self._matrix.has_cell((other, group)):
                     unit = self._make_unit(fingerprint, (other, group))
                     if unit is not None:
                         units.append(unit)
-            self._resolve_units(units, containment=False)
+            trivial = self._trivial_pairs_joined(group) if key[0] == "Read" else 0
+            self._resolve_units(units, trivial, containment=False)
             self._metrics.inc("batch.incremental_adds")
         return self._matrix
 
@@ -493,21 +501,9 @@ class BatchAnalyzer:
         Greedy first-fit coloring of the may-conflict graph in catalogue
         order: each operation joins the earliest batch containing no
         operation it may conflict with (``UNKNOWN`` counts as a conflict,
-        so scheduling stays sound).
+        so scheduling stays sound).  See :meth:`ConflictMatrix.schedule`.
         """
-        batches: list[list[str]] = []
-        for name in self._matrix.names:
-            placed = False
-            for batch in batches:
-                if all(
-                    not self._matrix.may_conflict(name, member) for member in batch
-                ):
-                    batch.append(name)
-                    placed = True
-                    break
-            if not placed:
-                batches.append([name])
-        return batches
+        return self._matrix.schedule()
 
     # ------------------------------------------------------------------
     # Decision pipeline: triage -> dedup -> cache -> decide -> fill
@@ -536,13 +532,28 @@ class BatchAnalyzer:
         workers forked afterwards) hit a warm compile cache from the first
         query.  A name joining an existing group costs nothing more.
         """
-        group = self._matrix.add(name, key)
+        group = self._matrix.add(name, key, read=key[0] == "Read")
         if group not in self._groups:
             operation = self._operations[name]
             self._groups[group] = (operation, CanonicalOp.from_operation(operation))
             self._compiler.precompile(operation)
             self._metrics.inc("batch.ops_precompiled")
         return group
+
+    def _trivial_pairs_joined(self, group: int) -> int:
+        """How many read/read name pairs a read that just joined ``group``
+        adds to ``batch.pairs_total`` and ``batch.pairs_trivial``: the
+        multiplicity of the read/read group pairs it made cover a name
+        pair.  A new group makes one with every other read group, a group
+        that grew to two makes its own pair, a larger group makes none."""
+        own = self._matrix.multiplicity((group, group))
+        if own == 0:  # a new group, whose only member is this read
+            return sum(
+                self._matrix.multiplicity((other, group))
+                for other in self._matrix.group_ids()
+                if self._groups[other][1].is_read
+            )
+        return 1 if own == 1 else 0
 
     def _make_unit(self, fingerprint: tuple, pair: tuple[int, int]) -> "_Unit | None":
         """The unit deciding the matrix cell of a group pair (``None``: a
@@ -560,29 +571,31 @@ class BatchAnalyzer:
             cell=pair,
         )
 
-    def _resolve_units(self, units: "list[_Unit]", *, containment: bool) -> None:
-        """Triage units (trivial → index → cache), then decide the rest.
+    def _resolve_units(
+        self, units: "list[_Unit]", trivial: int, *, containment: bool
+    ) -> None:
+        """Triage units (index → cache), then decide the rest.
 
-        Index- and containment-discharged units never reach the compiler,
-        the verdict cache, or the pool; their multiplicities land in the
+        ``trivial`` is the multiplicity of the read/read pairs the matrix
+        answers itself; they get no unit and are only counted.  Index-
+        and containment-discharged units never reach the compiler, the
+        verdict cache, or the pool; their multiplicities land in the
         ``batch.pairs_discharged`` counter.  Counter semantics match the
         historical per-name-pair pipeline exactly: totals are multiplicity
         sums, ``pairs_unique`` counts distinct undecided canonical pairs,
         and ``pairs_decided`` counts real engine decisions only.
         """
-        total = trivial = cached = discharged_index = 0
+        total = trivial
+        cached = discharged_index = 0
         pending: dict[PairKey, _Unit] = {}
         established: dict[PairKey, tuple[_Unit, str, Verdict]] = {}
         start = time.perf_counter()
         for unit in units:
             total += unit.multiplicity
-            canon_a, canon_b = unit.canon_a, unit.canon_b
-            if canon_a.is_read and canon_b.is_read:
-                self._fill_unit(unit, Verdict.NO_CONFLICT, None, "trivial")
-                trivial += unit.multiplicity
-                continue
             if self._pattern_index is not None:
-                why = self._pattern_index.discharge(canon_a.profile, canon_b.profile)
+                why = self._pattern_index.discharge(
+                    unit.canon_a.profile, unit.canon_b.profile
+                )
                 if why is not None:
                     self._fill_unit(unit, Verdict.NO_CONFLICT, None, why)
                     discharged_index += unit.multiplicity

@@ -4,11 +4,20 @@ A pair's verdict depends only on the canonical shapes of its two
 operations, never on the names that carry them (Section 7 uses the
 catalogue exactly this way).  :class:`ConflictMatrix` therefore
 partitions its names into *canonical groups* — one group per distinct
-canonical form — and stores one :class:`Cell` per unordered pair of
+canonical form — and keeps one :class:`Cell` per unordered pair of
 groups: the verdict, how it was obtained, and why it was degraded, if
 it was.  A name pair reads the cell of its two groups, so a catalogue of
 ``n`` names over ``G`` shapes costs ``O(G²)`` cells instead of ``O(n²)``
 name pairs, and every name-pair tally is a multiplicity-weighted sum.
+
+Only the cells of group pairs that hold an update group are stored.  A
+read never changes the tree, so two reads never conflict: the matrix
+answers every pair of two groups added as reads itself, with one shared
+``trivial`` cell, and its tallies and listings count those pairs
+arithmetically.  A read-heavy catalogue thus allocates nothing for most
+of its group pairs.  :meth:`ConflictMatrix.schedule` works per group
+too: whether a name fits a batch depends only on its group and the
+groups the batch holds.
 
 This module is the only code that knows the layout.  The batch engine
 adds and removes names and fills cells through the methods below;
@@ -33,7 +42,7 @@ class Cell(NamedTuple):
     """The verdict shared by every name pair of one group pair.
 
     ``origin`` is how the verdict was obtained: ``"decided"`` (a decision
-    procedure ran), ``"trivial"`` (read/read), ``"cached"``,
+    procedure ran), ``"trivial"`` (two reads; never stored), ``"cached"``,
     ``"index:chain"``/``"index:depth"`` (static-index discharge), or
     ``"containment:<parent>"`` (propagated from a subsuming read).
     ``reason`` is set only for *degraded* verdicts: an ``UNKNOWN`` forced
@@ -44,6 +53,10 @@ class Cell(NamedTuple):
     verdict: Verdict
     origin: str
     reason: str | None
+
+
+#: The cell of every pair of two read groups, never stored.
+_TRIVIAL = Cell(Verdict.NO_CONFLICT, "trivial", None)
 
 
 class ConflictMatrix:
@@ -72,23 +85,30 @@ class ConflictMatrix:
         self._next_group = 0
         self._cells: dict[tuple[int, int], Cell] = {}
         self._shared: dict[Cell, Cell] = {}
+        # Ids of the groups added as reads; a pair of two of them is
+        # answered by ``_TRIVIAL`` and has no entry in ``_cells``.
+        self._reads: set[int] = set()
 
     # ------------------------------------------------------------------
     # Building (the batch engine and the reference oracle)
     # ------------------------------------------------------------------
 
-    def add(self, name: str, key: Hashable) -> int:
+    def add(self, name: str, key: Hashable, *, read: bool = False) -> int:
         """Append ``name`` to the group of canonical ``key``; its group id.
 
-        A name joining an existing group shares that group's cells; only
-        the group's self-pair cell can be missing (a group of one has no
-        pair of its own) — see :meth:`has_cell`.
+        ``read`` marks a new group as a read group: its pairs with read
+        groups, its own pair included, are ``trivial`` and need no
+        :meth:`fill`.  A name joining an existing group shares that
+        group's cells; only the group's self-pair cell can be missing (a
+        group of one has no pair of its own) — see :meth:`has_cell`.
         """
         group = self._group_by_key.get(key)
         if group is None:
             group = self._group_by_key[key] = self._next_group
             self._next_group += 1
             self._members[group] = []
+            if read:
+                self._reads.add(group)
         self._members[group].append(name)
         self._group_of[name] = group
         self.names.append(name)
@@ -108,6 +128,7 @@ class ConflictMatrix:
             self._cells.pop((group, group), None)
         if not members:
             del self._members[group]
+            self._reads.discard(group)
             for key in [k for k, g in self._group_by_key.items() if g == group]:
                 del self._group_by_key[key]
             for pair in [pair for pair in self._cells if group in pair]:
@@ -136,7 +157,11 @@ class ConflictMatrix:
         return self._members[first][0], self._members[second][0]
 
     def has_cell(self, pair: tuple[int, int]) -> bool:
-        """Whether the group pair already has a verdict."""
+        """Whether the group pair already has a verdict (a pair of two
+        read groups always has)."""
+        first, second = pair
+        if first in self._reads and second in self._reads:
+            return True
         return _ordered(pair) in self._cells
 
     def fill(
@@ -146,7 +171,14 @@ class ConflictMatrix:
         reason: str | None = None,
         origin: str = "decided",
     ) -> None:
-        """Set the cell of a group pair (and so of all its name pairs)."""
+        """Set the cell of a group pair (and so of all its name pairs).
+
+        A pair of two read groups is ``trivial`` and takes no fill: the
+        tallies count it without a cell, so a stored one would count twice.
+        """
+        first, second = pair
+        if first in self._reads and second in self._reads:
+            raise ValueError(f"group pair {pair} holds two reads: it is trivial")
         cell = Cell(verdict, origin, reason)
         # Catalogues repeat a few (verdict, origin, reason) triples over
         # many group pairs; cells holding the same triple share one tuple.
@@ -156,8 +188,16 @@ class ConflictMatrix:
     # Name-pair queries
     # ------------------------------------------------------------------
 
+    def _group_cell(self, first: int, second: int) -> Cell:
+        """The cell of a group pair: ``_TRIVIAL`` for two read groups,
+        else the stored cell (``KeyError`` when it has none)."""
+        reads = self._reads
+        if first in reads and second in reads:
+            return _TRIVIAL
+        return self._cells[(first, second) if first <= second else (second, first)]
+
     def _cell(self, first: str, second: str) -> Cell:
-        return self._cells[_ordered((self._group_of[first], self._group_of[second]))]
+        return self._group_cell(self._group_of[first], self._group_of[second])
 
     def verdict(self, first: str, second: str) -> Verdict:
         """The verdict for an unordered pair (symmetric)."""
@@ -200,11 +240,57 @@ class ConflictMatrix:
         :attr:`names`, and pairs are ordered by the position of ``first``,
         then of ``second``.
         """
-        names, group_of, cells = self.names, self._group_of, self._cells
+        names, group_of, cell = self.names, self._group_of, self._group_cell
         for index, first in enumerate(names):
             group = group_of[first]
             for second in names[index + 1 :]:
-                yield first, second, cells[_ordered((group, group_of[second]))].verdict
+                yield first, second, cell(group, group_of[second]).verdict
+
+    def schedule(self) -> list[list[str]]:
+        """Partition the names into interference-free batches.
+
+        Greedy first-fit coloring of the may-conflict graph in catalogue
+        order: each name joins the earliest batch holding no name it may
+        conflict with (``UNKNOWN`` counts as a conflict, so scheduling
+        stays sound).  Whether a name fits depends only on its group and
+        the groups the batch holds.  A name whose group the batch already
+        holds fits iff its group's own cell is ``NO_CONFLICT``: every
+        other group there was checked against that group when the later
+        of the two joined.
+        """
+        batches: list[tuple[list[str], set[int]]] = []
+        for name in self.names:
+            group = self._group_of[name]
+            for members, groups in batches:
+                if group in groups:
+                    fits = self._compatible(group, group)
+                else:
+                    fits = all(self._compatible(group, other) for other in groups)
+                if fits:
+                    members.append(name)
+                    groups.add(group)
+                    break
+            else:
+                batches.append(([name], {group}))
+        return [members for members, _ in batches]
+
+    def _compatible(self, first: int, second: int) -> bool:
+        return self._group_cell(first, second).verdict is Verdict.NO_CONFLICT
+
+    def _trivial_pairs(self) -> Iterator[tuple[int, int]]:
+        """The pairs of two read groups that stand for a name pair, each
+        with the lower id first."""
+        reads = sorted(self._reads)
+        for index, first in enumerate(reads):
+            if len(self._members[first]) > 1:
+                yield first, first
+            for second in reads[index + 1 :]:
+                yield first, second
+
+    def _read_names(self) -> list[str]:
+        """The names of the read groups, in catalogue order."""
+        reads, group_of = self._reads, self._group_of
+        return [name for name in self.names if group_of[name] in reads]
 
     def _name_pairs(
         self, pair: tuple[int, int], position: dict[str, int]
@@ -223,12 +309,18 @@ class ConflictMatrix:
         """Sorted ``(first, second, label)`` over the name pairs of every
         cell that ``label`` maps to a value other than ``None``."""
         position = {name: index for index, name in enumerate(self.names)}
-        return sorted(
+        listed = [
             (a, b, value)
             for pair, cell in self._cells.items()
             if (value := label(cell)) is not None
             for a, b in self._name_pairs(pair, position)
-        )
+        ]
+        value = label(_TRIVIAL)
+        if value is not None:
+            listed.extend(
+                (a, b, value) for a, b in itertools.combinations(self._read_names(), 2)
+            )
+        return sorted(listed)
 
     def discharged_pairs(self) -> list[tuple[str, str, str]]:
         """All pairs discharged without a decision procedure.
@@ -256,6 +348,10 @@ class ConflictMatrix:
             value = label(cell)
             if value is not None:
                 out[value] = out.get(value, 0) + self.multiplicity(pair)
+        reads = sum(len(self._members[group]) for group in self._reads)
+        value = label(_TRIVIAL)
+        if value is not None and reads > 1:
+            out[value] = out.get(value, 0) + reads * (reads - 1) // 2
         return out
 
     def counts(self) -> dict[str, int]:
@@ -299,8 +395,9 @@ class ConflictMatrix:
                 "verdicts": self._pair_listing(),
                 "stats": stats,
             }
+        trivial = ((pair, _TRIVIAL) for pair in self._trivial_pairs())
         entries = []
-        for pair, cell in sorted(self._cells.items()):
+        for pair, cell in sorted(itertools.chain(self._cells.items(), trivial)):
             first, second = self.representative(pair)
             entries.append(
                 {
