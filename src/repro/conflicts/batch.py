@@ -13,8 +13,9 @@ repeats work the catalogue view makes unnecessary:
 
 * **plan per shape** — each name computes only its canonical key
   (:func:`op_key`) and joins the matrix group of that key; each group
-  is canonicalized, profiled and precompiled once (one
-  :class:`CanonicalOp` per group, not per name);
+  is canonicalized and profiled once (one :class:`CanonicalOp` per
+  group, not per name), and precompiled once, when one of its pairs
+  first reaches a decision;
 * **skip read/read pairs** — two reads never conflict, so the matrix
   answers a pair of read groups itself and only group pairs that hold an
   update become decision units;
@@ -117,9 +118,13 @@ class CanonicalOp:
     profile: StaticProfile = field(compare=False)
 
     @classmethod
-    def from_operation(cls, op: Operation) -> "CanonicalOp":
-        """Canonicalize and profile ``op``."""
-        key = op_key(op)
+    def from_operation(
+        cls, op: Operation, key: OpKey | None = None
+    ) -> "CanonicalOp":
+        """Canonicalize and profile ``op``; a caller that already holds
+        ``op_key(op)`` passes it as ``key``."""
+        if key is None:
+            key = op_key(op)
         return cls(key=key, profile=profile_pattern(key[0], op.pattern))
 
     @property
@@ -151,9 +156,10 @@ def _worker_init(
     # The operands arrive as initializer arguments: a forked worker
     # inherits them, a spawned one unpickles them.  The detector decides
     # on the process-global compiler: under ``fork`` the worker inherits
-    # it, warmed by the analyzer's per-group precompile when the analyzer
-    # compiles on it; under ``spawn`` it starts cold and compiles each
-    # operand on first use.
+    # it, with every operand precompiled when the analyzer compiles on
+    # it (the analyzer precompiles each group a decided pair references
+    # before it starts the pool); under ``spawn`` it starts cold and
+    # compiles each operand on first use.
     detector = ConflictDetector(config=config)
     _WORKER["detector"] = detector
     _WORKER["operands"] = operands
@@ -369,6 +375,8 @@ class BatchAnalyzer:
         # canonical form: the one operand identity behind deciding,
         # caching, fault keys and pool shipping.
         self._groups: dict[int, tuple[Operation, CanonicalOp]] = {}
+        # Ids of the groups already precompiled on ``self._compiler``.
+        self._precompiled: set[int] = set()
         self._matrix = ConflictMatrix()
 
     # ------------------------------------------------------------------
@@ -431,6 +439,7 @@ class BatchAnalyzer:
         with obs.span("batch.analyze", operations=len(ops), jobs=self.jobs):
             self._operations = ops
             self._groups = {}
+            self._precompiled = set()
             self._matrix = ConflictMatrix()
             for name, key in keys.items():
                 self._join(name, key)
@@ -492,6 +501,7 @@ class BatchAnalyzer:
         emptied = self._matrix.remove(name)
         if emptied is not None:
             del self._groups[emptied]
+            self._precompiled.discard(emptied)
         self._metrics.inc("batch.incremental_removes")
         return self._matrix
 
@@ -527,17 +537,19 @@ class BatchAnalyzer:
     def _join(self, name: str, key: OpKey) -> int:
         """Add ``name`` to the matrix group of ``key``; the group id.
 
-        A new group is canonicalized, profiled and precompiled once, from
-        this name's operation, so the per-pair decisions (serial, or in
-        workers forked afterwards) hit a warm compile cache from the first
-        query.  A name joining an existing group costs nothing more.
+        A new group is canonicalized and profiled once, from this name's
+        operation and its already computed ``key``; it is precompiled
+        later, and only if one of its pairs reaches a decision
+        (:meth:`_precompile_groups`).  A name joining an existing group
+        costs nothing more.
         """
         group = self._matrix.add(name, key, read=key[0] == "Read")
         if group not in self._groups:
             operation = self._operations[name]
-            self._groups[group] = (operation, CanonicalOp.from_operation(operation))
-            self._compiler.precompile(operation)
-            self._metrics.inc("batch.ops_precompiled")
+            self._groups[group] = (
+                operation,
+                CanonicalOp.from_operation(operation, key=key),
+            )
         return group
 
     def _trivial_pairs_joined(self, group: int) -> int:
@@ -811,11 +823,27 @@ class BatchAnalyzer:
         if reason is not None:
             self._metrics.inc("batch.pairs_degraded", unit.multiplicity, reason=reason)
 
+    def _precompile_groups(self, units: "list[_Unit]") -> None:
+        """Precompile every group of ``units`` not precompiled yet.
+
+        Runs when the units reach the decide stage, so the serial detector,
+        or a pool forked next, starts on a warm compile cache for each
+        operand it decides; a group whose pairs are all read/read,
+        discharged or cached is never compiled.
+        """
+        for unit in units:
+            for group in unit.cell:
+                if group not in self._precompiled:
+                    self._precompiled.add(group)
+                    self._compiler.precompile(self._groups[group][0])
+                    self._metrics.inc("batch.ops_precompiled")
+
     def _decide_unique(
         self, units: "list[_Unit]"
     ) -> dict[PairKey, tuple[Verdict, "str | None"]]:
         if not units:
             return {}
+        self._precompile_groups(units)
         if self.jobs > 1 and len(units) >= self.MIN_PARALLEL_PAIRS:
             try:
                 return self._decide_parallel(units)

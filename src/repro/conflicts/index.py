@@ -314,9 +314,28 @@ def result_containment(general: TreePattern, specific: TreePattern) -> bool:
     the general pattern could map onto the artificial marker node and
     certify containments that fail on real trees (``a[*]`` vs ``a``).
 
+    Three necessary conditions are checked first, without copying or
+    marking anything: the homomorphism sends root to root and output to
+    output, so both pairs must pass the label test, and every edge maps
+    to a downward path of at least one edge, so the general output can
+    sit no deeper than the specific one.  A pair failing any of them has
+    no homomorphism, so refuting it early changes no answer.
+
     Sound only for test-free patterns — the homomorphism ignores value
     tests, so callers must ensure neither pattern carries any.
     """
+    if not (
+        _label_ok(general, general.root, specific, specific.root)
+        and _label_ok(general, general.output, specific, specific.output)
+        and general.depth(general.output) <= specific.depth(specific.output)
+    ):
+        return False
+    return _marked_homomorphism(general, specific)
+
+
+def _marked_homomorphism(general: TreePattern, specific: TreePattern) -> bool:
+    """The marker-restricted homomorphism of :func:`result_containment`,
+    without its refutation."""
     avoid = general.labels() | specific.labels()
     marker = fresh_label(avoid, stem="out")
 

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from repro.compile.compiler import PatternCompiler
 from repro.conflicts.api import AnalysisConfig, analyze
 from repro.conflicts import batch
 from repro.conflicts.batch import (
@@ -257,9 +258,24 @@ def two_shape_catalogue() -> dict:
     return ops
 
 
+def recording_precompile(monkeypatch) -> list:
+    """Record the key of every operation ``PatternCompiler.precompile``
+    compiles from now on."""
+    precompiled = []
+    precompile = PatternCompiler.precompile
+
+    def recording(compiler, op):
+        precompiled.append(op_key(op))
+        return precompile(compiler, op)
+
+    monkeypatch.setattr(PatternCompiler, "precompile", recording)
+    return precompiled
+
+
 class TestPlanPerShape:
-    """Names join canonical groups; each group is canonicalized,
-    profiled and precompiled once."""
+    """Names join canonical groups; each group is canonicalized and
+    profiled once, and precompiled once when one of its pairs first
+    reaches a decision."""
 
     def test_each_shape_is_profiled_and_precompiled_once(self, monkeypatch):
         profiled = []
@@ -285,18 +301,71 @@ class TestPlanPerShape:
         assert matrix.remove("b") == group
         assert matrix.group_ids() == []
 
-    def test_removing_and_re_adding_a_whole_shape(self):
+    def test_removing_and_re_adding_a_whole_shape(self, monkeypatch):
         analyzer = BatchAnalyzer()
         analyzer.analyze(two_shape_catalogue())
         for name in ("purge0", "purge1", "purge2"):
             analyzer.remove_op(name)
+        precompiled = recording_precompile(monkeypatch)
         matrix = analyzer.add_op("purge", Delete("bib/book"))
         assert list(matrix.pairs()) == list(
             reference_matrix(analyzer.operations).pairs()
         )
         # The emptied group went with its last member: the shape came
-        # back as a new group, profiled and precompiled again.
+        # back as a new group, but its only pair is a verdict-cache hit,
+        # so it reaches no decision and is not precompiled again.
+        assert matrix.discharge_reason("title0", "purge") == "cached"
+        assert precompiled == []
+        assert analyzer.metrics()["counters"]["batch.ops_precompiled"] == 2
+
+    def test_groups_that_reach_no_decision_are_not_precompiled(self, monkeypatch):
+        precompiled = recording_precompile(monkeypatch)
+        catalogue = {
+            "titles": Read("bib/book/title"),
+            "names": Read("bib/author/name"),
+            "poison": Delete("bib/poisonlabel/entry"),
+            "purge": Delete("bib/book"),
+        }
+        analyzer = BatchAnalyzer()
+        matrix = analyzer.analyze(catalogue)
+        # ``names`` pairs only with a read and with updates the index
+        # discharges; every other group has a decided pair.
+        assert matrix.discharge_reason("names", "poison") == "index:chain"
+        assert matrix.discharge_reason("names", "purge") == "index:chain"
+        assert matrix.discharge_reason("poison", "purge") == "decided"
+        assert sorted(precompiled) == sorted(
+            op_key(catalogue[name]) for name in ("titles", "poison", "purge")
+        )
         assert analyzer.metrics()["counters"]["batch.ops_precompiled"] == 3
+
+        # A warm analyzer sharing the verdict cache answers every pair
+        # from it, so it precompiles nothing.
+        precompiled.clear()
+        warm = BatchAnalyzer(cache=analyzer.cache)
+        assert list(warm.analyze(catalogue).pairs()) == list(matrix.pairs())
+        assert precompiled == []
+        assert warm.metrics()["counters"].get("batch.ops_precompiled", 0) == 0
+
+    def test_every_operand_a_pool_ships_is_precompiled_first(self, monkeypatch):
+        precompiled = recording_precompile(monkeypatch)
+        shipped = []
+        make_pool = BatchAnalyzer._make_pool
+
+        def checking(analyzer, context, jobs, operands):
+            keys = [key for _, key in operands]
+            shipped.append(keys)
+            assert set(keys) <= set(precompiled)
+            return make_pool(analyzer, context, jobs, operands)
+
+        monkeypatch.setattr(BatchAnalyzer, "_make_pool", checking)
+        analyzer = BatchAnalyzer(jobs=2)
+        matrix = analyzer.analyze(OPERATIONS)
+        assert shipped
+        assert len(precompiled) == len(set(precompiled))
+        assert analyzer.metrics()["counters"]["batch.ops_precompiled"] == len(
+            precompiled
+        )
+        assert_same_verdicts(matrix, reference_matrix(OPERATIONS))
 
 
 def large_catalogue() -> dict:

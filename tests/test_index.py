@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.conflicts import batch, index
 from repro.conflicts.batch import BatchAnalyzer, CanonicalOp, reference_matrix
 from repro.conflicts.matrix import ConflictMatrix
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
@@ -29,9 +30,16 @@ from repro.conflicts.index import (
 )
 from repro.conflicts.semantics import ConflictKind, Verdict
 from repro.operations.ops import Delete, Insert, Read
+from repro.patterns.embedding import evaluate
 from repro.patterns.pattern import WILDCARD, Axis, TreePattern, ValueTest
 from repro.resilience import faults
-from repro.workloads.generators import random_delete, random_insert, random_read
+from repro.workloads.generators import (
+    random_branching_pattern,
+    random_delete,
+    random_insert,
+    random_read,
+)
+from repro.xml.enumerate import enumerate_trees
 
 
 @pytest.fixture(autouse=True)
@@ -279,6 +287,68 @@ class TestResultContainment:
         specific.set_output(specific.root)  # outputs a
         assert not result_containment(general, specific)
 
+    @staticmethod
+    def _no_search(general, specific):
+        raise AssertionError("the refutation should have answered")
+
+    def test_root_label_clash_is_refuted_before_marking(self, monkeypatch):
+        general, specific = chain_pattern("a", "b"), chain_pattern("b", "b")
+        assert not index._marked_homomorphism(general, specific)
+        monkeypatch.setattr(index, "_marked_homomorphism", self._no_search)
+        assert not result_containment(general, specific)
+
+    def test_deeper_general_output_is_refuted_before_marking(self, monkeypatch):
+        """``a/b/c`` does not contain ``a//c``: the specific output may sit
+        one edge below the root, where ``a/b/c`` selects nothing."""
+        general = chain_pattern("a", "b", "c")
+        specific = TreePattern("a")
+        specific.set_output(specific.add_child(specific.root, "c", Axis.DESCENDANT))
+        assert result_containment(specific, general)  # the converse holds
+        assert not index._marked_homomorphism(general, specific)
+        monkeypatch.setattr(index, "_marked_homomorphism", self._no_search)
+        assert not result_containment(general, specific)
+
+    @staticmethod
+    def _random_pattern(rng: random.Random) -> TreePattern:
+        """A pattern over ``a``, ``b`` and ``*`` with both axes, branches,
+        and its output at any node: the root, an inner node or a leaf."""
+        pattern = random_branching_pattern(
+            rng.randint(1, 4), ("a", "b"), p_wildcard=0.3, max_children=2, seed=rng
+        )
+        pattern.set_output(rng.choice(list(pattern.nodes())))
+        return pattern
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_refutation_keeps_every_containment_and_each_is_sound(self, seed):
+        """The refutation answers exactly as the marked homomorphism, and
+        every certified containment holds on every tree of up to 5 nodes."""
+        rng = random.Random(1_000_003 * SEED_BASE + 7919 * seed)
+        trees = list(enumerate_trees(5, ("a", "b", "c")))
+        certified = 0
+        refuted = {"root": 0, "output": 0, "depth": 0}
+        for _ in range(150):
+            general, specific = self._random_pattern(rng), self._random_pattern(rng)
+            contained = result_containment(general, specific)
+            assert contained == index._marked_homomorphism(general, specific)
+            if not index._label_ok(general, general.root, specific, specific.root):
+                refuted["root"] += 1
+            elif not index._label_ok(
+                general, general.output, specific, specific.output
+            ):
+                refuted["output"] += 1
+            elif general.depth(general.output) > specific.depth(specific.output):
+                refuted["depth"] += 1
+            if contained:
+                certified += 1
+                for tree in trees:
+                    assert evaluate(specific, tree) <= evaluate(general, tree), (
+                        general.sketch(),
+                        specific.sketch(),
+                        tree,
+                    )
+        assert certified > 0
+        assert all(refuted.values()), refuted
+
 
 class TestBatchDischarge:
     def test_discharge_reasons_in_matrix(self):
@@ -373,6 +443,45 @@ class TestDifferentialOracle:
         for first, second, _reason in matrix.discharged_pairs():
             assert matrix.verdict(first, second) is Verdict.NO_CONFLICT
             assert reference.verdict(first, second) is Verdict.NO_CONFLICT
+
+
+class TestContainmentPlanner:
+    def test_refutation_leaves_the_planner_unchanged(self, monkeypatch):
+        """Planning containment on the bare marked homomorphism and on the
+        refuting check yields the same matrix, origins and counters."""
+
+        def outcome(containment) -> dict:
+            with monkeypatch.context() as patch:
+                patch.setattr(batch, "result_containment", containment)
+                analyzer = BatchAnalyzer(DetectorConfig(exhaustive_cap=1), jobs=1)
+                matrix = analyzer.analyze(ops)
+            with monkeypatch.context() as patch:
+                patch.setattr(ConflictMatrix, "PAIR_LISTING_LIMIT", 0)
+                grouped = matrix.to_dict()
+            counters = analyzer.metrics()["counters"]
+            return {
+                "per_pair": matrix.to_dict(),
+                "grouped": grouped,
+                "discharge_counts": matrix.discharge_counts(),
+                "discharged": matrix.discharged_pairs(),
+                "counters": {
+                    key: count
+                    for key, count in counters.items()
+                    if key.startswith("batch.")
+                },
+            }
+
+        origins = 0
+        for seed in range(40):
+            ops = mixed_catalogue(seed)
+            bare = outcome(index._marked_homomorphism)
+            refuting = outcome(index.result_containment)
+            assert refuting == bare, seed
+            origins += sum(
+                origin.startswith("containment:")
+                for _, _, origin in refuting["discharged"]
+            )
+        assert origins > 0
 
 
 class TestJsonShapes:
