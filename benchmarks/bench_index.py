@@ -3,9 +3,9 @@
 The acceptance bar for the static pattern index
 (:mod:`repro.conflicts.index`) is a 10,000-operation catalogue analyzed
 end to end with >= 60% of all pairs discharged *without a decision
-procedure* — by the trivial read/read path, the static index rules, or
-containment propagation — and the per-stage timing breakdown showing
-the decide stage no longer dominates.
+procedure* — by the trivial read/read path or the static index rules —
+and the per-stage timing breakdown showing the decide stage no longer
+dominates.
 
 The catalogue mimics compiler-extracted workloads: ~250 distinct
 patterns over 8 disjoint document roots, repeated across thousands of
@@ -83,7 +83,7 @@ def build_catalogue(total: int) -> dict:
 def stage_timings_ms(analyzer: BatchAnalyzer) -> dict:
     histograms = analyzer.metrics()["histograms"]
     out = {}
-    for stage in ("index", "containment", "decide"):
+    for stage in ("index", "decide"):
         snap = histograms.get(f"batch.stage_ms{{stage={stage}}}")
         out[stage] = round(snap["sum"], 3) if snap else 0.0
     return out
@@ -92,12 +92,11 @@ def stage_timings_ms(analyzer: BatchAnalyzer) -> dict:
 def fractions(matrix) -> dict:
     counts = matrix.discharge_counts()
     total = max(1, sum(counts.values()))
-    static = counts["trivial"] + counts["index"] + counts["containment"]
+    static = counts["trivial"] + counts["index"]
     return {
         "pairs_total": total,
         "counts": counts,
         "fraction_index": counts["index"] / total,
-        "fraction_containment": counts["containment"] / total,
         "fraction_trivial": counts["trivial"] / total,
         "fraction_decided": counts["decided"] / total,
         "fraction_static": static / total,
@@ -121,9 +120,7 @@ def test_index_discharges_10k_catalogue(benchmark):
     # enough to afford the quadratic index-off baseline.
     slice_ops = dict(itertools.islice(catalogue.items(), DIFF_OPS))
     on = BatchAnalyzer(CONFIG, jobs=1, cache=VerdictCache())
-    off = BatchAnalyzer(
-        CONFIG, jobs=1, cache=VerdictCache(), index=False, containment=False
-    )
+    off = BatchAnalyzer(CONFIG, jobs=1, cache=VerdictCache(), index=False)
     on_matrix = on.analyze(slice_ops)
     off_matrix = off.analyze(slice_ops)
     for a, b in itertools.combinations(slice_ops, 2):
@@ -142,10 +139,9 @@ def test_index_discharges_10k_catalogue(benchmark):
     stages = stage_timings_ms(analyzer)
     print_series(
         f"{TOTAL_OPS}-op catalogue discharge fractions",
-        ["index", "containment", "trivial", "decided"],
+        ["index", "trivial", "decided"],
         [
             stats["fraction_index"],
-            stats["fraction_containment"],
             stats["fraction_trivial"],
             stats["fraction_decided"],
         ],

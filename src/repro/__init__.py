@@ -35,7 +35,7 @@ dedup, a shareable verdict cache, and an optional worker pool::
     matrix.discharge_reason("titles", "restock")     # how it was settled
     repro.analyze(ops, mode="schedule")              # interference-free phases
 
-    config = repro.AnalysisConfig(jobs=4, index=True, containment=True)
+    config = repro.AnalysisConfig(jobs=4, index=True)
     repro.analyze(ops, config=config)
 
 Hold a :class:`BatchAnalyzer` directly when you need incremental

@@ -544,10 +544,6 @@ def _add_catalogue_args(parser: argparse.ArgumentParser) -> None:
         help="disable the static pattern index pre-pass (every non-trivial "
         "pair goes through cache + decision procedure)",
     )
-    parser.add_argument(
-        "--no-containment", action="store_true",
-        help="disable containment propagation across subsumed read patterns",
-    )
     _add_json_arg(parser)
 
 
@@ -708,7 +704,6 @@ def _make_analyzer(args: argparse.Namespace) -> BatchAnalyzer:
         cache=cache,
         retries=args.retries,
         index=not args.no_index,
-        containment=not args.no_containment,
     )
 
 
@@ -739,8 +734,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
         return _matrix_exit(matrix)
     counts = matrix.counts()
-    discharge = matrix.discharge_counts()
-    statically = discharge["index"] + discharge["containment"]
+    statically = matrix.discharge_counts()["index"]
     degraded_count = matrix.degraded_count()
     degraded = f", {degraded_count} degraded" if degraded_count else ""
     static = f", {statically} discharged statically" if statically else ""

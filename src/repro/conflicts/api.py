@@ -12,7 +12,7 @@ knobs that used to be scattered across constructor kwargs::
     batches = repro.analyze(ops, mode="schedule")          # list[list[str]]
     pairs = repro.analyze(ops, mode="pairs")               # [(a, b, Verdict)]
 
-    config = repro.AnalysisConfig(jobs=8, containment=False)
+    config = repro.AnalysisConfig(jobs=8, index=False)
     matrix = repro.analyze(ops, config=config)
 
 ``docs/BATCH_ANALYSIS.md`` has the migration table for code written
@@ -46,7 +46,9 @@ class AnalysisConfig:
             ``BatchAnalyzer``.
         index: apply the static pattern index pre-pass
             (:mod:`repro.conflicts.index`).
-        containment: propagate verdicts across subsumed read patterns.
+        containment: accepted and ignored.  Containment propagation was
+            removed; the field stays only so existing callers that pass
+            it keep working.
         jobs: worker processes for undecided unique pairs (``None``/``1``
             serial, ``0`` or negative means all cores).
         cache: a shared :class:`VerdictCache` for warm starts.
@@ -78,7 +80,6 @@ class AnalysisConfig:
             chunk_timeout_s=self.chunk_timeout_s,
             retry_backoff_s=self.retry_backoff_s,
             index=self.index,
-            containment=self.containment,
         )
 
 

@@ -62,9 +62,12 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.compile.compiler import global_compiler
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
-from repro.conflicts.index import PatternIndex, StaticProfile, profile_pattern, result_containment
+from repro.conflicts.index import PatternIndex, StaticProfile, profile_pattern
+# No engine path calls it any more; ``perfbench/spans.py`` still wraps
+# ``batch.result_containment`` as its containment layer.
+from repro.conflicts.index import result_containment  # noqa: F401
 from repro.conflicts.matrix import ConflictMatrix
-from repro.conflicts.semantics import ConflictKind, Verdict
+from repro.conflicts.semantics import Verdict
 from repro.conflicts.verdict_cache import OpKey, PairKey, VerdictCache
 from repro.errors import ConflictEngineError
 from repro.obs.metrics import MetricsRegistry, histogram_delta
@@ -251,7 +254,6 @@ class _Unit:
     key: PairKey
     canon_a: CanonicalOp
     canon_b: CanonicalOp
-    rep: tuple[str, str]
     multiplicity: int
     cell: tuple[int, int]
 
@@ -300,10 +302,6 @@ class BatchAnalyzer:
             pairs in O(1) before they reach the verdict cache, the
             compiler, or the pool.  Sound by construction and checked
             continuously by the index-on/index-off differential suite.
-        containment: propagate ``NO_CONFLICT`` verdicts from a read to
-            reads it subsumes (result-set containment), saving one
-            decision per subsumed pattern.  Only applies to the NODE
-            conflict kind and test-free linear subsumed reads.
 
     Typical use::
 
@@ -318,11 +316,6 @@ class BatchAnalyzer:
     #: startup cost and decisions stay in-process.
     MIN_PARALLEL_PAIRS = 4
 
-    #: At most this many subsuming-read candidates are examined per
-    #: containment child, bounding the planner to O(children × cap)
-    #: memoized homomorphism checks.
-    CONTAINMENT_CANDIDATES = 64
-
     def __init__(
         self,
         config: DetectorConfig | None = None,
@@ -335,7 +328,6 @@ class BatchAnalyzer:
         chunk_timeout_s: float | None = 120.0,
         retry_backoff_s: float = 0.05,
         index: bool = True,
-        containment: bool = True,
     ) -> None:
         if detector is not None:
             config = detector.config
@@ -361,7 +353,6 @@ class BatchAnalyzer:
             detector.compiler if detector is not None else global_compiler()
         )
         self.index = bool(index)
-        self.containment = bool(containment)
         self._pattern_index = (
             PatternIndex(
                 kind=self.config.kind, exhaustive_cap=self.config.exhaustive_cap
@@ -369,7 +360,6 @@ class BatchAnalyzer:
             if self.index
             else None
         )
-        self._containment_memo: dict[tuple[OpKey, OpKey], bool] = {}
         self._operations: dict[str, Operation] = {}
         # Matrix group id -> the group's first operation and its
         # canonical form: the one operand identity behind deciding,
@@ -455,9 +445,7 @@ class BatchAnalyzer:
                     if unit is not None:
                         units.append(unit)
             read_names = sum(key[0] == "Read" for key in keys.values())
-            self._resolve_units(
-                units, read_names * (read_names - 1) // 2, containment=self.containment
-            )
+            self._resolve_units(units, read_names * (read_names - 1) // 2)
         return self._matrix
 
     def add_op(self, name: str, operation: Operation) -> ConflictMatrix:
@@ -489,7 +477,7 @@ class BatchAnalyzer:
                     if unit is not None:
                         units.append(unit)
             trivial = self._trivial_pairs_joined(group) if key[0] == "Read" else 0
-            self._resolve_units(units, trivial, containment=False)
+            self._resolve_units(units, trivial)
             self._metrics.inc("batch.incremental_adds")
         return self._matrix
 
@@ -578,20 +566,17 @@ class BatchAnalyzer:
             key=VerdictCache.pair_key(fingerprint, canon_a.key, canon_b.key),
             canon_a=canon_a,
             canon_b=canon_b,
-            rep=self._matrix.representative(pair),
             multiplicity=multiplicity,
             cell=pair,
         )
 
-    def _resolve_units(
-        self, units: "list[_Unit]", trivial: int, *, containment: bool
-    ) -> None:
-        """Triage units (index → cache), then decide the rest.
+    def _resolve_units(self, units: "list[_Unit]", trivial: int) -> None:
+        """Triage units (index → cache), then decide the rest in one round.
 
         ``trivial`` is the multiplicity of the read/read pairs the matrix
         answers itself; they get no unit and are only counted.  Index-
-        and containment-discharged units never reach the compiler, the
-        verdict cache, or the pool; their multiplicities land in the
+        discharged units never reach the compiler, the verdict cache, or
+        the pool; their multiplicities land in the
         ``batch.pairs_discharged`` counter.  Counter semantics match the
         historical per-name-pair pipeline exactly: totals are multiplicity
         sums, ``pairs_unique`` counts distinct undecided canonical pairs,
@@ -600,7 +585,6 @@ class BatchAnalyzer:
         total = trivial
         cached = discharged_index = 0
         pending: dict[PairKey, _Unit] = {}
-        established: dict[PairKey, tuple[_Unit, str, Verdict]] = {}
         start = time.perf_counter()
         for unit in units:
             total += unit.multiplicity
@@ -611,13 +595,11 @@ class BatchAnalyzer:
                 if why is not None:
                     self._fill_unit(unit, Verdict.NO_CONFLICT, None, why)
                     discharged_index += unit.multiplicity
-                    established[unit.key] = (unit, why, Verdict.NO_CONFLICT)
                     continue
             hit = self.cache.get(unit.key)
             if hit is not None:
                 self._fill_unit(unit, hit, None, "cached")
                 cached += unit.multiplicity
-                established[unit.key] = (unit, "cached", hit)
                 continue
             pending[unit.key] = unit
         self._metrics.observe(
@@ -632,51 +614,11 @@ class BatchAnalyzer:
                 "batch.pairs_discharged", discharged_index, reason="index"
             )
 
-        resolved: dict[PairKey, str] = {}
-        deferred: dict[PairKey, tuple[PairKey, str]] = {}
-        if containment and self.config.kind is ConflictKind.NODE and pending:
-            start = time.perf_counter()
-            resolved, deferred = self._plan_containment(pending, established)
-            self._metrics.observe(
-                "batch.stage_ms",
-                (time.perf_counter() - start) * 1000.0,
-                stage="containment",
-            )
-        discharged_containment = 0
-        for key, origin in resolved.items():
-            unit = pending.pop(key)
-            self._fill_unit(unit, Verdict.NO_CONFLICT, None, origin)
-            discharged_containment += unit.multiplicity
-
         start = time.perf_counter()
-        round_one = [unit for key, unit in pending.items() if key not in deferred]
-        outcomes = self._decide_unique(round_one)
-        fallback: list[_Unit] = []
-        for key, (parent_key, parent_name) in deferred.items():
-            parent = outcomes.get(parent_key)
-            if (
-                parent is not None
-                and parent[0] is Verdict.NO_CONFLICT
-                and parent[1] is None
-            ):
-                unit = pending.pop(key)
-                self._fill_unit(
-                    unit, Verdict.NO_CONFLICT, None, f"containment:{parent_name}"
-                )
-                discharged_containment += unit.multiplicity
-            else:
-                # The hoped-for parent verdict did not materialize (a
-                # conflict, or a degraded run): decide the child for real.
-                fallback.append(pending[key])
-        if fallback:
-            outcomes.update(self._decide_unique(fallback))
+        outcomes = self._decide_unique(list(pending.values()))
         self._metrics.observe(
             "batch.stage_ms", (time.perf_counter() - start) * 1000.0, stage="decide"
         )
-        if discharged_containment:
-            self._metrics.inc(
-                "batch.pairs_discharged", discharged_containment, reason="containment"
-            )
         for key, unit in pending.items():
             verdict, reason = outcomes[key]
             if reason is None:
@@ -685,136 +627,6 @@ class BatchAnalyzer:
             # run's budget/faults, not the pair, and a cached UNKNOWN
             # would mask the real answer on every future run.
             self._fill_unit(unit, verdict, reason, "decided")
-
-    def _plan_containment(
-        self,
-        pending: "dict[PairKey, _Unit]",
-        established: "dict[PairKey, tuple[_Unit, str, Verdict]]",
-    ) -> tuple[dict, dict]:
-        """Plan containment propagation over the pending read/update units.
-
-        For each update, a *child* read (linear, test-free) whose result
-        set is contained in a *parent* read with an established or pending
-        ``NO_CONFLICT`` against the same update inherits that verdict.
-        Returns ``(resolved, deferred)``: children discharged immediately
-        from an established parent, and children waiting on a parent that
-        is decided in round one.  The parent pool is restricted to reads
-        whose ``NO_CONFLICT`` is the *true* answer for the original pair
-        (index-discharged, or exact-engine-decided: test-free and linear,
-        or a test-free update partner) so propagation never launders a
-        stripped-pattern approximation into a dependent verdict.
-        """
-
-        def orient(unit: _Unit) -> "tuple[CanonicalOp, CanonicalOp] | None":
-            a, b = unit.canon_a, unit.canon_b
-            if a.is_read and not b.is_read:
-                return a, b
-            if b.is_read and not a.is_read:
-                return b, a
-            return None
-
-        groups: dict[object, list[dict]] = {}
-
-        def add_entry(key: PairKey, unit: _Unit, fixed: "str | None") -> None:
-            oriented = orient(unit)
-            if oriented is None:
-                return
-            read, update = oriented
-            read_name = unit.rep[0] if unit.canon_a.is_read else unit.rep[1]
-            groups.setdefault(update.key, []).append(
-                {
-                    "key": key,
-                    "unit": unit,
-                    "read": read,
-                    "update": update,
-                    "read_name": read_name,
-                    "fixed": fixed,
-                }
-            )
-
-        for key, unit in pending.items():
-            add_entry(key, unit, None)
-        for key, (unit, origin, verdict) in established.items():
-            if verdict is Verdict.NO_CONFLICT:
-                add_entry(key, unit, origin)
-
-        resolved: dict[PairKey, str] = {}
-        deferred: dict[PairKey, tuple[PairKey, str]] = {}
-        parents_used: set[PairKey] = set()
-        for entries in groups.values():
-            if len(entries) < 2:
-                continue
-            parents = [
-                entry
-                for entry in entries
-                if not entry["read"].profile.has_tests
-                and (
-                    (entry["fixed"] or "").startswith("index:")
-                    or entry["read"].profile.is_linear
-                    or not entry["update"].profile.has_tests
-                )
-            ][: self.CONTAINMENT_CANDIDATES]
-            for entry in entries:
-                if entry["fixed"] is not None:
-                    continue
-                child_key = entry["key"]
-                child_profile = entry["read"].profile
-                if not child_profile.is_linear or child_profile.has_tests:
-                    continue
-                if child_key in parents_used:
-                    continue
-                for parent in parents:
-                    if parent["key"] == child_key:
-                        continue
-                    if parent["read"].key == entry["read"].key:
-                        continue
-                    if parent["fixed"] is None and (
-                        parent["key"] in deferred or parent["key"] in resolved
-                    ):
-                        continue
-                    if not self._result_contains(
-                        parent["read"],
-                        parent["read_name"],
-                        entry["read"],
-                        entry["read_name"],
-                    ):
-                        continue
-                    if parent["fixed"] is None:
-                        # Both pending: keep the subsumption forest acyclic
-                        # even for result-equivalent patterns by breaking
-                        # ties on the canonical key.
-                        if self._result_contains(
-                            entry["read"],
-                            entry["read_name"],
-                            parent["read"],
-                            parent["read_name"],
-                        ) and not parent["read"].key < entry["read"].key:
-                            continue
-                    origin = f"containment:{parent['read_name']}"
-                    if parent["fixed"] is not None:
-                        resolved[child_key] = origin
-                    else:
-                        deferred[child_key] = (parent["key"], parent["read_name"])
-                        parents_used.add(parent["key"])
-                    break
-        return resolved, deferred
-
-    def _result_contains(
-        self,
-        general: CanonicalOp,
-        general_name: str,
-        specific: CanonicalOp,
-        specific_name: str,
-    ) -> bool:
-        memo_key = (general.key, specific.key)
-        hit = self._containment_memo.get(memo_key)
-        if hit is None:
-            hit = result_containment(
-                self._operations[general_name].pattern,
-                self._operations[specific_name].pattern,
-            )
-            self._containment_memo[memo_key] = hit
-        return hit
 
     def _fill_unit(
         self, unit: "_Unit", verdict: Verdict, reason: "str | None", origin: str

@@ -9,7 +9,7 @@ the group's :class:`~repro.conflicts.batch.CanonicalOp`), so that
 disjoint pairs never touch the compiler, the verdict cache, or the
 worker pool.
 
-Two layers (``docs/INDEXING.md`` carries the full soundness argument):
+Two pieces (``docs/INDEXING.md`` carries the full soundness argument):
 
 * :class:`StaticProfile` / :func:`discharge` — per-pattern static keys
   (deterministic prefix chain, trunk alphabet, depth envelope, value-test
@@ -19,9 +19,8 @@ Two layers (``docs/INDEXING.md`` carries the full soundness argument):
   re-decided exactly always yields ``NO_CONFLICT`` byte-for-byte.
 * :func:`result_containment` — a marker-aware homomorphism check
   certifying ``[[specific]](T) ⊆ [[general]](T)`` for every tree ``T``
-  (containment of *result sets*, not boolean satisfaction).  The batch
-  layer uses it to propagate a read/update ``NO_CONFLICT`` verdict from a
-  general read down to reads it subsumes.
+  (containment of *result sets*, not boolean satisfaction).  A
+  standalone check: no engine path calls it.
 
 Everything here is conservative: ``discharge`` returns ``None`` whenever
 any precondition fails, and the differential oracle (index-on vs

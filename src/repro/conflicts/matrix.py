@@ -34,8 +34,8 @@ from repro.conflicts.semantics import Verdict
 
 __all__ = ["ConflictMatrix"]
 
-#: Origin prefixes of pairs discharged without a decision procedure.
-_STATIC = ("index:", "containment:")
+#: Origin prefix of pairs discharged without a decision procedure.
+_STATIC = "index:"
 
 
 class Cell(NamedTuple):
@@ -43,8 +43,7 @@ class Cell(NamedTuple):
 
     ``origin`` is how the verdict was obtained: ``"decided"`` (a decision
     procedure ran), ``"trivial"`` (two reads; never stored), ``"cached"``,
-    ``"index:chain"``/``"index:depth"`` (static-index discharge), or
-    ``"containment:<parent>"`` (propagated from a subsuming read).
+    or ``"index:chain"``/``"index:depth"`` (static-index discharge).
     ``reason`` is set only for *degraded* verdicts: an ``UNKNOWN`` forced
     by the resilience layer (``timeout``, ``step_limit``,
     ``worker_crash``) rather than decided by the engine.
@@ -215,7 +214,7 @@ class ConflictMatrix:
         """How the pair got its verdict without (or with) a decision.
 
         One of ``"trivial"``, ``"cached"``, ``"index:chain"``,
-        ``"index:depth"``, ``"containment:<parent>"`` or ``"decided"``.
+        ``"index:depth"`` or ``"decided"``.
         """
         if first == second:
             return "trivial"
@@ -325,9 +324,9 @@ class ConflictMatrix:
     def discharged_pairs(self) -> list[tuple[str, str, str]]:
         """All pairs discharged without a decision procedure.
 
-        Entries are ``(first, second, origin)`` with origin ``"index:*"``
-        or ``"containment:*"``.  This expands cells to name pairs — use
-        :meth:`discharge_counts` when only the tallies are needed.
+        Entries are ``(first, second, origin)`` with origin ``"index:*"``.
+        This expands cells to name pairs — use :meth:`discharge_counts`
+        when only the tallies are needed.
         """
         return self._expand(
             lambda cell: cell.origin if cell.origin.startswith(_STATIC) else None
@@ -361,10 +360,10 @@ class ConflictMatrix:
     def discharge_counts(self) -> dict[str, int]:
         """Name-pair tallies by origin class.
 
-        Keys: ``decided``, ``cached``, ``trivial``, ``index``,
-        ``containment``.  The sum equals the number of analyzed pairs.
+        Keys: ``decided``, ``cached``, ``trivial``, ``index``.  The sum
+        equals the number of analyzed pairs.
         """
-        zero = {"decided": 0, "cached": 0, "trivial": 0, "index": 0, "containment": 0}
+        zero = {"decided": 0, "cached": 0, "trivial": 0, "index": 0}
         return zero | self._tally(lambda c: c.origin.split(":", 1)[0])
 
     def degraded_count(self) -> int:
@@ -387,7 +386,7 @@ class ConflictMatrix:
             "operations": len(self.names),
             **self.counts(),
             "degraded": self.degraded_count(),
-            "discharged": discharge["index"] + discharge["containment"],
+            "discharged": discharge["index"],
         }
         if len(self.names) <= self.PAIR_LISTING_LIMIT:
             return {

@@ -147,9 +147,8 @@ class ServiceClient:
             knobs.pop("deadline_ms", None),
             knobs.pop("max_steps", None),
         )
-        for toggle in ("index", "containment"):
-            if toggle in knobs:
-                body[toggle] = bool(knobs.pop(toggle))
+        if "index" in knobs:
+            body["index"] = knobs.pop("index")
         request_id = knobs.pop("request_id", None)
         if knobs:
             raise ServiceProtocolError(

@@ -31,6 +31,7 @@ __all__ = [
     "op_to_spec",
     "catalogue_from_specs",
     "detector_config_from",
+    "index_from",
     "mint_request_id",
     "normalize_request_id",
 ]
@@ -176,3 +177,12 @@ def detector_config_from(
         deadline_s=deadline_ms / 1000.0 if deadline_ms is not None else None,
         max_steps=max_steps,
     )
+
+
+def index_from(payload: Mapping) -> bool:
+    """Whether a matrix/schedule body wants the static pattern index:
+    ``true`` when ``index`` is absent, else it must be a JSON boolean."""
+    index = payload.get("index", True)
+    if not isinstance(index, bool):
+        raise ServiceProtocolError("'index' must be a boolean")
+    return index

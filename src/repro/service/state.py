@@ -195,8 +195,7 @@ class ServiceState:
             jobs=1,
             cache=self.cache,
             registry=self.registry,
-            index=bool(payload.get("index", True)),
-            containment=bool(payload.get("containment", True)),
+            index=protocol.index_from(payload),
         )
         matrix = analyzer.analyze(catalogue)
         self.registry.set_gauge("service.cache_entries", len(self.cache))

@@ -76,14 +76,26 @@ class TestAnalyzeFacade:
         assert matrix.degraded_count() > 0
 
     def test_config_index_off(self):
-        config = AnalysisConfig(index=False, containment=False)
-        matrix = analyze(OPERATIONS, config=config)
-        counts = matrix.discharge_counts()
-        assert counts["index"] == 0 and counts["containment"] == 0
+        """``index=False`` discharges nothing statically.  ``containment``
+        is accepted and changes nothing, even where a read (``a/b/c``) is
+        result-contained in another (``a//c``)."""
+        matrix = analyze(OPERATIONS, config=AnalysisConfig(index=False))
+        assert matrix.discharge_counts()["index"] == 0
+        ops = {
+            "g": Read("a//c"),
+            "s": Read("a/b/c"),
+            "d": Delete("a/b/c"),
+            "o": Read("a/x/c"),
+            "i": Insert("a/b", "<d/>"),
+        }
+        default = analyze(ops)
+        ignored = analyze(ops, config=AnalysisConfig(containment=False))
+        assert ignored.to_dict() == default.to_dict()
+        assert ignored.discharge_counts() == default.discharge_counts()
 
     def test_config_defaults(self):
         config = AnalysisConfig()
-        assert config.index and config.containment
+        assert config.index
         assert config.jobs is None and config.cache is None
         assert config.retries == 2
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.conflicts import batch, index
+from repro.conflicts import index
 from repro.conflicts.batch import BatchAnalyzer, CanonicalOp, reference_matrix
 from repro.conflicts.matrix import ConflictMatrix
 from repro.conflicts.detector import ConflictDetector, DetectorConfig
@@ -104,9 +104,7 @@ def fast_detector() -> ConflictDetector:
 def analyzer_pair(ops: dict) -> tuple[BatchAnalyzer, BatchAnalyzer]:
     """Two fresh serial analyzers over ``ops``: index on, index off."""
     on = BatchAnalyzer(detector=fast_detector(), jobs=1)
-    off = BatchAnalyzer(
-        detector=fast_detector(), jobs=1, index=False, containment=False
-    )
+    off = BatchAnalyzer(detector=fast_detector(), jobs=1, index=False)
     on.analyze(ops)
     off.analyze(ops)
     return on, off
@@ -374,7 +372,7 @@ class TestBatchDischarge:
             "index:chain",
         ) in discharged
         for _, _, reason in discharged:
-            assert reason.startswith(("index:", "containment:"))
+            assert reason.startswith("index:")
 
     def test_discharge_reason_unknown_name_raises(self):
         analyzer = BatchAnalyzer(detector=fast_detector(), jobs=1)
@@ -445,43 +443,49 @@ class TestDifferentialOracle:
             assert reference.verdict(first, second) is Verdict.NO_CONFLICT
 
 
-class TestContainmentPlanner:
-    def test_refutation_leaves_the_planner_unchanged(self, monkeypatch):
-        """Planning containment on the bare marked homomorphism and on the
-        refuting check yields the same matrix, origins and counters."""
+class TestOneDecideRound:
+    """Each analysis triages every unit once (index, then cache) and
+    decides the rest in one round, so it starts at most one pool."""
 
-        def outcome(containment) -> dict:
-            with monkeypatch.context() as patch:
-                patch.setattr(batch, "result_containment", containment)
-                analyzer = BatchAnalyzer(DetectorConfig(exhaustive_cap=1), jobs=1)
-                matrix = analyzer.analyze(ops)
-            with monkeypatch.context() as patch:
-                patch.setattr(ConflictMatrix, "PAIR_LISTING_LIMIT", 0)
-                grouped = matrix.to_dict()
-            counters = analyzer.metrics()["counters"]
-            return {
-                "per_pair": matrix.to_dict(),
-                "grouped": grouped,
-                "discharge_counts": matrix.discharge_counts(),
-                "discharged": matrix.discharged_pairs(),
-                "counters": {
-                    key: count
-                    for key, count in counters.items()
-                    if key.startswith("batch.")
-                },
-            }
+    @staticmethod
+    def rounds(monkeypatch, ops: dict, jobs: int) -> tuple[int, int]:
+        """Non-empty ``_decide_unique`` rounds and ``_make_pool`` calls of
+        one analysis of ``ops``."""
+        rounds, pools = [], []
+        decide_unique = BatchAnalyzer._decide_unique
+        make_pool = BatchAnalyzer._make_pool
 
-        origins = 0
-        for seed in range(40):
-            ops = mixed_catalogue(seed)
-            bare = outcome(index._marked_homomorphism)
-            refuting = outcome(index.result_containment)
-            assert refuting == bare, seed
-            origins += sum(
-                origin.startswith("containment:")
-                for _, _, origin in refuting["discharged"]
-            )
-        assert origins > 0
+        def counted_round(self, units):
+            if units:
+                rounds.append(len(units))
+            return decide_unique(self, units)
+
+        def counted_pool(self, *args):
+            pools.append(args)
+            return make_pool(self, *args)
+
+        monkeypatch.setattr(BatchAnalyzer, "_decide_unique", counted_round)
+        monkeypatch.setattr(BatchAnalyzer, "_make_pool", counted_pool)
+        BatchAnalyzer(DetectorConfig(exhaustive_cap=1), jobs=jobs).analyze(ops)
+        return len(rounds), len(pools)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_pooled_analysis_decides_in_one_round(self, seed, monkeypatch):
+        rounds, pools = self.rounds(monkeypatch, mixed_catalogue(seed), jobs=2)
+        assert rounds == 1
+        assert pools <= 1
+
+    def test_subsumed_read_is_decided_with_the_rest(self, monkeypatch):
+        """``a/b/c`` is result-contained in ``a//c``, and both are decided
+        against the insert in the same round."""
+        ops = {
+            "g": Read("a//c"),
+            "s": Read("a/b/c"),
+            "d": Delete("a/b/c"),
+            "o": Read("a/x/c"),
+            "i": Insert("a/b", "<d/>"),
+        }
+        assert self.rounds(monkeypatch, ops, jobs=1) == (1, 0)
 
 
 class TestJsonShapes:

@@ -129,7 +129,7 @@ class TestReadPairsAnsweredByTheMatrix:
         rng = rng_for(seed)
         pool = shape_pool(rng)
         reads = [op for op in pool if isinstance(op, Read)]
-        analyzer = BatchAnalyzer(FAST, jobs=1, containment=False)
+        analyzer = BatchAnalyzer(FAST, jobs=1)
         layout = ConflictMatrix()
         initial = {f"op{index:03d}": rng.choice(pool) for index in range(10)}
         analyzer.analyze(initial)
@@ -170,9 +170,7 @@ class TestReadPairsAnsweredByTheMatrix:
         assert matrix.names == layout.names
         assert_same_outputs(matrix, fill_explicitly(layout, matrix), monkeypatch)
 
-        fresh = BatchAnalyzer(FAST, jobs=1, containment=False).analyze(
-            analyzer.operations
-        )
+        fresh = BatchAnalyzer(FAST, jobs=1).analyze(analyzer.operations)
         assert list(matrix.pairs()) == list(fresh.pairs())
         assert matrix.counts() == fresh.counts()
         assert matrix.schedule() == fresh.schedule()

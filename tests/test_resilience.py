@@ -343,7 +343,7 @@ class TestBatchHardening:
         # what tests/test_index.py pins; here we want every poison pair
         # to hit the crashing pool.
         analyzer = BatchAnalyzer(
-            jobs=2, retries=1, retry_backoff_s=0.001, index=False, containment=False
+            jobs=2, retries=1, retry_backoff_s=0.001, index=False
         )
         matrix = analyzer.analyze(ops)
         degraded = matrix.degraded_pairs()

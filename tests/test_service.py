@@ -232,12 +232,11 @@ class TestMatrixAndSchedule:
         spread = dict(CATALOGUE)
         spread["faraway"] = {"op": "delete", "xpath": "inv/item/stale"}
         default = client.matrix(spread)
-        plain = client.matrix(spread, index=False, containment=False)
+        plain = client.matrix(spread, index=False)
         assert default["stats"]["discharged"] >= 1
         assert plain["stats"]["discharged"] == 0
         assert all(
-            not e["discharge"].startswith(("index:", "containment:"))
-            for e in plain["verdicts"]
+            not e["discharge"].startswith("index:") for e in plain["verdicts"]
         )
         for on, off in zip(default["verdicts"], plain["verdicts"]):
             assert (on["first"], on["second"], on["verdict"]) == (
@@ -245,6 +244,13 @@ class TestMatrixAndSchedule:
                 off["second"],
                 off["verdict"],
             )
+
+    @pytest.mark.parametrize("index", ["false", 0])
+    def test_non_boolean_index_is_400(self, client, index):
+        spread = dict(CATALOGUE)
+        spread["faraway"] = {"op": "delete", "xpath": "inv/item/stale"}
+        with pytest.raises(ServiceProtocolError, match="'index' must be a boolean"):
+            client.matrix(spread, index=index)
 
     def test_missing_ops_is_400(self, client):
         with pytest.raises(ServiceProtocolError, match="'ops'"):
