@@ -53,6 +53,7 @@ from collections.abc import Callable, Sequence
 
 from repro.patterns.pattern import WILDCARD, Axis, TreePattern
 from repro.resilience.budget import checkpoint
+from repro.xml.parser import TEXT_PREFIX
 from repro.xml.tree import NodeId, XMLTree
 
 __all__ = [
@@ -289,10 +290,12 @@ class BitsetAutomaton:
         top-down walk (:meth:`XMLTree.fold_paths`) gives each node the
         subset ``step(parent_subset, label)``, selects it when the subset
         meets the accepting mask and skips its subtree when the subset is
-        empty, so the cost is one memoized step per visited node.  Labels
-        without a row of their own (document text, fresh witness labels)
-        all step as ``None``, which keeps the step memo bounded by the
-        pattern's labels rather than the documents'.
+        empty, so the cost is one memoized step per visited node.  Element
+        labels without a row of their own (fresh witness labels, names the
+        pattern never mentions) all step as ``None``, which keeps the step
+        memo bounded by the pattern's labels rather than the documents'.
+        Text leaves step to the dead state: no pattern step, ``*``
+        included, matches text.
 
         ``below`` places ``tree`` as a subtree under a node whose path
         reached that subset — the nodes ``p`` selects in a copy of ``X``
@@ -303,7 +306,12 @@ class BitsetAutomaton:
         steps = self._steps
 
         def advance(subset: int, label: str) -> int:
-            key = (subset, label if label in label_rows else None)
+            if label in label_rows:
+                key = (subset, label)
+            elif label.startswith(TEXT_PREFIX):
+                return 0
+            else:
+                key = (subset, None)
             below = steps.get(key)
             return self.step(*key) if below is None else below
 

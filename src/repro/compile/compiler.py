@@ -14,9 +14,10 @@ scans — on every call.  :class:`PatternCompiler` owns those artifacts:
   over an alphabet-independent
   :class:`~repro.automata.bitkernel.MaskTable`), so every product or
   profile question becomes bitwise AND/OR/shift loops;
-* trunk extraction, spine prefixes/suffixes, matching words
-  (intersection products), matching profiles, and cut-edge scans are
-  memoized in bounded LRU caches (:mod:`repro.compile.cache`), with
+* trunk extraction, spine prefixes/suffixes (each derived on first
+  use), leaf chains, matching words (intersection products), matching
+  profiles, and cut-edge scans are memoized in bounded LRU caches
+  (:mod:`repro.compile.cache`), with
   ``compile.<family>.{hits,misses,evictions}`` counters in the metrics
   registry.
 
@@ -118,48 +119,66 @@ class PatternCompiler:
         return {cache.family: cache.stats() for cache in self._caches()}
 
     # ------------------------------------------------------------------
-    # Derived patterns: trunk, spine prefixes and suffixes
+    # Derived patterns: trunk, spine prefixes and suffixes, leaf chains
     # ------------------------------------------------------------------
+
+    def _derive(self, key: tuple, build: Callable[[], object]):  # type: ignore[no-untyped-def]
+        """The ``compile.derived`` entry ``key``; ``build`` runs on miss only."""
+        hit = self._derived.get(key)
+        if hit is not MISS:
+            return hit
+        value = build()
+        self._derived.put(key, value)
+        return value
 
     def trunk(self, pattern: PatternLike) -> InternedPattern:
         """``SEQ_{ROOT(p)}^{O(p)}`` — interned and memoized."""
         p = self.intern(pattern)
-        hit = self._derived.get((p, "trunk"))
-        if hit is not MISS:
-            return hit
-        trunk = self.intern(p.pattern.trunk())
-        self._derived.put((p, "trunk"), trunk)
-        return trunk
+        return self._derive(
+            (p, "trunk"), lambda: self.intern(p.pattern.trunk())
+        )
 
     def spine_prefix(self, read: PatternLike, index: int) -> InternedPattern:
-        """``SEQ_ROOT(R)`` through the ``index``-th spine node."""
-        return self._prefixes(self.intern(read))[index]
+        """``SEQ_ROOT(R)`` through the ``index``-th spine node.
+
+        Derived on first use, one pattern per ``(read, index)``: a
+        decision reads only the prefixes of the edges it reports.
+        """
+        r = self.intern(read)
+        rp = r.pattern
+        return self._derive(
+            (r, "prefix", index),
+            lambda: self.intern(rp.seq_root_to(rp.spine()[index])),
+        )
 
     def spine_suffix(self, read: PatternLike, index: int) -> InternedPattern:
-        """``SEQ`` from the ``index``-th spine node down to the output."""
-        return self._suffixes(self.intern(read))[index]
+        """``SEQ`` from the ``index``-th spine node down to the output.
 
-    def _prefixes(self, read: InternedPattern) -> tuple[InternedPattern, ...]:
-        hit = self._derived.get((read, "prefixes"))
-        if hit is not MISS:
-            return hit
-        rp = read.pattern
-        prefixes = tuple(
-            self.intern(rp.seq_root_to(node)) for node in rp.spine()
+        Derived on first use, like :meth:`spine_prefix`.
+        """
+        r = self.intern(read)
+        rp = r.pattern
+        return self._derive(
+            (r, "suffix", index),
+            lambda: self.intern(rp.seq(rp.spine()[index], rp.output)),
         )
-        self._derived.put((read, "prefixes"), prefixes)
-        return prefixes
 
-    def _suffixes(self, read: InternedPattern) -> tuple[InternedPattern, ...]:
-        hit = self._derived.get((read, "suffixes"))
-        if hit is not MISS:
-            return hit
-        rp = read.pattern
-        suffixes = tuple(
-            self.intern(rp.seq(node, rp.output)) for node in rp.spine()
+    def leaf_chains(self, read: PatternLike) -> tuple[InternedPattern, ...]:
+        """``SEQ_ROOT(R)^ℓ`` for every leaf ``ℓ`` of ``read``, in preorder.
+
+        The linear chains a branching read is decided by (the trunk
+        prefilter and the chain rule of :mod:`repro.conflicts.general`).
+        """
+        r = self.intern(read)
+        rp = r.pattern
+        return self._derive(
+            (r, "leaf_chains"),
+            lambda: tuple(
+                self.intern(rp.seq_root_to(node))
+                for node in rp.preorder()
+                if not rp.children(node)
+            ),
         )
-        self._derived.put((read, "suffixes"), suffixes)
-        return suffixes
 
     # ------------------------------------------------------------------
     # Automata
@@ -301,16 +320,14 @@ class PatternCompiler:
     def precompile(self, op) -> None:  # type: ignore[no-untyped-def]
         """Compile one operation's pattern-side artifacts up front.
 
-        ``op`` is any :data:`repro.conflicts.batch.Operation`.  Reads get
-        their spine prefixes/suffixes derived (when linear); updates get
-        their trunk extracted.  Idempotent and cheap when already warm.
+        ``op`` is any :data:`repro.conflicts.batch.Operation`.  Its
+        pattern is interned, and an update gets its trunk extracted.
+        Spine prefixes and suffixes are left to the decisions that read
+        them (:meth:`spine_prefix`).  Idempotent and cheap when already
+        warm.
         """
         interned = self.intern(op.pattern)
-        if type(op).__name__ == "Read":
-            if interned.is_linear:
-                self._prefixes(interned)
-                self._suffixes(interned)
-        else:
+        if type(op).__name__ != "Read":
             self.trunk(interned)
 
 

@@ -6,8 +6,11 @@
   (:mod:`repro.conflicts.linear`), regardless of whether the update pattern
   branches (Corollaries 1 and 2);
 * branching read pattern → the general engine
-  (:mod:`repro.conflicts.general`): sound heuristics, then bounded
-  exhaustive search, complete when the budget covers the Lemma 11 bound;
+  (:mod:`repro.conflicts.general`): the PTIME trunk prefilter, then (for
+  node semantics) the PTIME chain rule, which decides the read's
+  root-to-leaf chains on the linear path, then sound heuristics, then
+  bounded exhaustive search, complete when the budget covers the
+  Lemma 11 bound;
 * update-update queries → the value-semantics commutativity engine
   (:mod:`repro.conflicts.complex`): identical operations and linear
   updates without value tests are decided exactly, by commutation rules

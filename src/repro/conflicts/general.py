@@ -19,9 +19,9 @@ side constructively:
   and merged variants).  In practice it resolves most conflicting instances
   without enumeration; "not found" means nothing.
 * :func:`decide_conflict` — the combined procedure: a sound PTIME trunk
-  prefilter (below), then heuristics, then bounded enumeration; verdict
-  ``UNKNOWN`` when the cap was below the Lemma 11 bound and no witness
-  was found.
+  prefilter, then the PTIME chain rule (node semantics), then heuristics,
+  then bounded enumeration; verdict ``UNKNOWN`` when the cap was below the
+  Lemma 11 bound and no witness was found.
 
 The *trunk prefilter* discharges pairs the search could never certify:
 any read-update conflict requires some root-to-leaf chain of the read to
@@ -36,6 +36,19 @@ verdicts into exact answers at PTIME cost.  The matching questions run on
 the bitset kernel via the compile layer
 (:class:`repro.compile.PatternCompiler`), so the branching path shares
 the linear path's mask artifacts and memoized matching words.
+
+The *chain rule* (node semantics, an extension of the paper) reduces the
+read to linear chains, as Corollaries 1–2 reduce an update to its trunk,
+and decides each chain exactly with Theorems 1–2
+(:mod:`repro.conflicts.linear`).  An insert only adds nodes, so a new
+result is a new node, which the output chain ``SEQ_ROOT(R)^{O(R)}``
+alone gains, or an old node reached through an embedding that sends a
+branch node, and with it a leaf below, into an inserted copy, so that
+leaf's chain alone gains a result; a delete is the mirror image.  Hence
+the pair commutes when every such chain does.  When the output chain
+conflicts, its witness with a model of each of the read's side branches
+grafted under every node is checked with Lemma 1 and reported if it
+passes.  Every other pair goes on to the search.
 """
 
 from __future__ import annotations
@@ -43,6 +56,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs import global_metrics, span
+from repro.conflicts.linear import (
+    _augment_with_side_branches,
+    detect_read_delete_linear,
+    detect_read_insert_linear,
+    has_node_conflict,
+)
 from repro.conflicts.semantics import (
     ConflictKind,
     ConflictReport,
@@ -247,7 +266,7 @@ def decide_conflict(
     use_heuristics: bool = True,
     compiler=None,
 ) -> ConflictReport:
-    """Combined general-case decision: prefilter, heuristics, enumeration.
+    """Combined general-case decision: prefilter, chains, heuristics, enumeration.
 
     Args:
         exhaustive_cap: largest candidate size to enumerate; ``None``
@@ -257,8 +276,12 @@ def decide_conflict(
             ``UNKNOWN``.
         use_heuristics: try the candidate family first.
         compiler: the :class:`repro.compile.PatternCompiler` the trunk
-            prefilter's linear matching questions memoize in; the
-            process-global compiler by default.
+            prefilter's and the chain rule's linear questions memoize in;
+            the process-global compiler by default.
+
+    The prefilter and, for node semantics, the chain rule run whatever
+    ``exhaustive_cap`` and ``use_heuristics`` say: both are PTIME and
+    exact where they answer.
 
     Value tests are stripped before searching: the candidate enumeration
     produces element-only trees, so test-carrying patterns would silently
@@ -321,16 +344,71 @@ def _trunk_prefilter_discharges(
     """
     rp = read.pattern
     trunk_c = comp.trunk(update.pattern)
-    for node in rp.nodes():
-        if rp.children(node):
-            continue  # inner node: a leaf below it subsumes its chain
-        chain = comp.intern(rp.seq_root_to(node))
+    # Inner nodes need no chain of their own: a leaf below subsumes it.
+    for chain in comp.leaf_chains(rp):
         if comp.match(chain, trunk_c, weak=True):
             return False
     if kind is not ConflictKind.NODE:
         if comp.match(trunk_c, comp.trunk(rp), weak=True):
             return False
     return True
+
+
+def _decide_by_chains(
+    read: Read, update: UpdateOp, comp, stats: SearchStats
+) -> ConflictReport | None:
+    """The chain rule for node semantics, or ``None`` to leave the pair.
+
+    A changed result set changes the result set of the output chain
+    ``SEQ_ROOT(R)^{O(R)}`` or of some root-to-leaf chain read alone (see
+    the module docstring), and Theorems 1–2 decide each chain exactly.
+    So the pair commutes when all of them do.  When the output chain
+    conflicts, its witness with R's side branches grafted under every
+    node is a candidate; it is reported only if it passes Lemma 1.
+    """
+    rp = read.pattern
+    output = comp.trunk(rp)
+    detect = (
+        detect_read_insert_linear
+        if isinstance(update, Insert)
+        else detect_read_delete_linear
+    )
+    chain_report = detect(Read(output.pattern), update, compiler=comp)
+    if chain_report.verdict is Verdict.CONFLICT:
+        avoid = update.pattern.labels()
+        if isinstance(update, Insert):
+            avoid |= update.subtree.labels()
+        witness = _augment_with_side_branches(
+            chain_report.witness, rp, extra_avoid=avoid
+        )
+        if not is_witness(witness, read, update, ConflictKind.NODE):
+            return None
+        return ConflictReport(
+            Verdict.CONFLICT,
+            ConflictKind.NODE,
+            witness=witness,
+            method="read-chains",
+            notes=[
+                "the read's output chain conflicts with the update, and "
+                "its witness keeps the conflict with the read's side "
+                "branches grafted under every node"
+            ],
+            stats=_stats_dict(stats),
+        )
+    for chain in comp.leaf_chains(rp):
+        if chain != output and has_node_conflict(chain, update, comp):
+            return None
+    return ConflictReport(
+        Verdict.NO_CONFLICT,
+        ConflictKind.NODE,
+        method="read-chains",
+        notes=[
+            "the read's output chain and every root-to-leaf chain are "
+            "each conflict-free with the update, and a changed result "
+            "would change one of them"
+        ],
+        stats=_stats_dict(stats),
+    )
 
 
 def _run_search(
@@ -363,6 +441,15 @@ def _run_search(
             ],
             stats=_stats_dict(stats),
         )
+    if kind is ConflictKind.NODE:
+        with span("general.chains", bound=stats.bound) as sp:
+            report = _decide_by_chains(read, update, compiler, stats)
+            sp.set("decided", report is not None)
+        if report is not None:
+            global_metrics().inc(
+                "general.chains_decided", verdict=report.verdict.value
+            )
+            return report
     if use_heuristics:
         with span("general.heuristic", bound=stats.bound) as sp:
             witness = find_witness_heuristic(read, update, kind, stats=stats)

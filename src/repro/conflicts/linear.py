@@ -52,6 +52,7 @@ __all__ = [
     "detect_read_delete_linear",
     "detect_read_insert_linear",
     "find_cut_edge",
+    "has_node_conflict",
 ]
 
 
@@ -301,6 +302,23 @@ def _build_insert_witness(
     return _augment_with_side_branches(chain, insert.pattern, extra_avoid=rp.labels())
 
 
+def has_node_conflict(read, update: UpdateOp, comp: PatternCompiler) -> bool:
+    """Whether the linear ``read`` pattern node-conflicts with ``update``.
+
+    ``read`` is a raw or interned linear pattern.  This is the Lemma 3 or
+    Lemma 6 edge scan alone, with no witness built: the chain rule of
+    :mod:`repro.conflicts.general` needs only the verdict for each
+    root-to-leaf chain of a branching read.
+    """
+    read_c = comp.intern(read)
+    trunk_c = comp.trunk(update.pattern)
+    if isinstance(update, Insert):
+        edge = _find_cut_edge_index(comp, read_c, trunk_c, update.subtree)
+    else:
+        edge = _read_delete_node_edge(comp, read_c, trunk_c)
+    return edge is not None
+
+
 # ----------------------------------------------------------------------
 # Shared construction helpers
 # ----------------------------------------------------------------------
@@ -331,30 +349,32 @@ def _graft_model(
 
 
 def _augment_with_side_branches(
-    witness: XMLTree, update_pattern: TreePattern, extra_avoid: set[str]
+    witness: XMLTree, pattern: TreePattern, extra_avoid: set[str]
 ) -> XMLTree:
-    """Lemma 4 / Lemma 8 construction for branching update patterns.
+    """Lemma 4 / Lemma 8 construction for branching patterns.
 
-    The decision procedure works on the update trunk; a trunk witness is
-    turned into a witness for the full pattern by adding, under **every**
-    node of the witness, a model of every side subpattern hanging off the
-    trunk.  (Adding nodes is monotone for the positive pattern language, so
-    the conflict is preserved; the caller re-verifies regardless.)
+    The decision procedure works on the pattern's trunk; a trunk witness
+    is turned into a witness for the full pattern by adding, under
+    **every** node of the witness, a model of every side subpattern
+    hanging off the trunk.  (Adding nodes is monotone for the positive
+    pattern language, so for an update pattern the conflict is
+    preserved; the caller re-verifies regardless.)  The chain rule of
+    :mod:`repro.conflicts.general` applies it to a branching *read*.
     """
-    trunk_nodes = set(update_pattern.spine())
+    trunk_nodes = set(pattern.spine())
     side_roots = [
         child
-        for node in update_pattern.spine()
-        for child in update_pattern.children(node)
+        for node in pattern.spine()
+        for child in pattern.children(node)
         if child not in trunk_nodes
     ]
     if not side_roots:
         return witness
-    avoid = extra_avoid | update_pattern.labels() | witness.labels()
+    avoid = extra_avoid | pattern.labels() | witness.labels()
     out = witness.copy()
     for anchor in list(out.nodes()):
         for side in side_roots:
-            _graft_model(out, anchor, update_pattern.subpattern(side), avoid)
+            _graft_model(out, anchor, pattern.subpattern(side), avoid)
     return out
 
 

@@ -2,8 +2,8 @@
 
 An *embedding* of a pattern ``p`` into a tree ``t`` is a function
 ``E: NODES_p -> NODES_t`` that is root-preserving, label-preserving (with
-``*`` matching anything), and maps child/descendant pattern edges to
-child/proper-descendant tree pairs.  The evaluation of ``p`` on ``t`` is::
+``*`` matching any element, never a text leaf), and maps child/descendant
+pattern edges to child/proper-descendant tree pairs.  The evaluation of ``p`` on ``t`` is::
 
     [[p]](t) = { E(O(p)) : E an embedding of p into t }
 
@@ -53,8 +53,15 @@ __all__ = [
 
 
 def node_matches(pattern: TreePattern, pnode: PNodeId, tree: XMLTree, tnode: NodeId) -> bool:
-    """Label (and value-test) compatibility of one pattern node with one tree node."""
-    if not pattern.is_wildcard(pnode) and pattern.label(pnode) != tree.label(tnode):
+    """Label (and value-test) compatibility of one pattern node with one tree node.
+
+    ``*`` matches element nodes only, as XPath's ``*`` does: text leaves
+    carry the values tests read, and no update may select them.
+    """
+    if pattern.is_wildcard(pnode):
+        if tree.label(tnode).startswith(TEXT_PREFIX):
+            return False
+    elif pattern.label(pnode) != tree.label(tnode):
         return False
     test = pattern.value_test(pnode)
     if test is None:

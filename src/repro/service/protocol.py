@@ -124,15 +124,18 @@ def catalogue_from_specs(data: object) -> dict[str, Operation]:
     }
 
 
-def _number(payload: Mapping, field: str) -> float | None:
-    value = payload.get(field)
+def _knob(payload: Mapping, field: str, default: object) -> object:
+    """``payload[field]``, or ``default`` when the field is absent.
+
+    A present knob must hold a value of its type, so JSON ``null`` is a
+    400 like any other wrong value, never a stand-in for "absent".
+    """
+    if field not in payload:
+        return default
+    value = payload[field]
     if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int | float):
-        raise ServiceProtocolError(f"'{field}' must be a number")
-    if value < 0:
-        raise ServiceProtocolError(f"'{field}' must be non-negative")
-    return float(value)
+        raise ServiceProtocolError(f"'{field}' must not be null")
+    return value
 
 
 def detector_config_from(
@@ -151,7 +154,7 @@ def detector_config_from(
     from the config fingerprint, so requests with different deadlines
     still share one verdict-cache namespace.
     """
-    kind_value = payload.get("kind", kind.value)
+    kind_value = _knob(payload, "kind", kind.value)
     try:
         request_kind = ConflictKind(kind_value)
     except ValueError:
@@ -159,13 +162,17 @@ def detector_config_from(
             f"unknown kind {kind_value!r} "
             f"(expected one of {', '.join(k.value for k in ConflictKind)})"
         ) from None
-    budget = payload.get("budget", exhaustive_cap)
+    budget = _knob(payload, "budget", exhaustive_cap)
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise ServiceProtocolError("'budget' must be a non-negative integer")
-    deadline_ms = _number(payload, "deadline_ms")
+    deadline_ms = _knob(payload, "deadline_ms", None)
     if deadline_ms is None:
         deadline_ms = default_deadline_ms
-    max_steps = payload.get("max_steps")
+    elif isinstance(deadline_ms, bool) or not isinstance(deadline_ms, int | float):
+        raise ServiceProtocolError("'deadline_ms' must be a number")
+    elif deadline_ms < 0:
+        raise ServiceProtocolError("'deadline_ms' must be non-negative")
+    max_steps = _knob(payload, "max_steps", None)
     if max_steps is not None and (
         isinstance(max_steps, bool) or not isinstance(max_steps, int)
         or max_steps < 0
@@ -182,7 +189,7 @@ def detector_config_from(
 def index_from(payload: Mapping) -> bool:
     """Whether a matrix/schedule body wants the static pattern index:
     ``true`` when ``index`` is absent, else it must be a JSON boolean."""
-    index = payload.get("index", True)
+    index = _knob(payload, "index", True)
     if not isinstance(index, bool):
         raise ServiceProtocolError("'index' must be a boolean")
     return index

@@ -89,12 +89,12 @@ class TestCheck:
         assert tree_code == 1
 
     def test_unknown_exit_code(self):
-        # The patterns genuinely overlap (the trunk prefilter cannot
-        # discharge the pair) and the smallest witness has 5 nodes, so a
-        # budget of 2 leaves the question open.
+        # Only the side-branch chain a/b conflicts, so the chain rule
+        # leaves the pair to the search, and the smallest witness has 2
+        # nodes, so a budget of 1 leaves the question open.
         code = main(
-            ["check", "--read", "a[b]/c//d", "--delete", "a/c/c/d",
-             "--budget", "2"]
+            ["check", "--read", "a[b]/c", "--insert", "a", "--xml", "<b/>",
+             "--budget", "1"]
         )
         assert code == 2
 

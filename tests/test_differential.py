@@ -9,6 +9,12 @@ independent oracles with seeded randomized tests:
   must pass the Lemma 1 check, and a NO_CONFLICT verdict must survive
   exhaustive witness search up to a cap that is conclusive for these
   instance sizes.
+* **Brute-force chain rule** — seeded random branching reads against
+  linear and branching deletes and inserts are decided by the trunk
+  prefilter and the chain rule alone (no search): a ``CONFLICT`` witness
+  must pass the Lemma 1 check, and no tree of up to
+  ``min(BRANCHING_SEARCH_CAP, bound)`` nodes may refute a
+  ``NO_CONFLICT``.
 * **Brute-force commutation** — seeded random linear update pairs
   (delete/delete, delete/insert, insert/insert) are decided by the exact
   Section 6 commutation rules: a ``CONFLICT`` witness must pass
@@ -50,14 +56,19 @@ from repro.conflicts.complex import (
     find_commutativity_witness_exhaustive,
     is_commutativity_witness,
 )
-from repro.conflicts.general import find_witness_exhaustive, witness_size_bound
+from repro.conflicts.general import (
+    decide_conflict,
+    find_witness_exhaustive,
+    witness_size_bound,
+)
 from repro.conflicts.linear import (
     detect_read_delete_linear,
     detect_read_insert_linear,
 )
 from repro.conflicts.semantics import ConflictKind, Verdict, is_witness
-from repro.operations.ops import Delete, Insert
+from repro.operations.ops import Delete, Insert, Read
 from repro.workloads.generators import (
+    random_branching_pattern,
     random_delete,
     random_insert,
     random_linear_pattern,
@@ -79,6 +90,8 @@ SEARCH_CAP = 4
 KINDS = (ConflictKind.NODE, ConflictKind.TREE, ConflictKind.VALUE)
 UPDATE_CASES = 60
 UPDATE_SEARCH_CAP = 5
+BRANCHING_CASES = 150
+BRANCHING_SEARCH_CAP = 5
 
 # One warm production compiler for the whole module: repeated patterns
 # across the seed range exercise real cache hits, which is exactly the
@@ -143,6 +156,40 @@ def _update_pair_case(seed: int):
             subtree.add_child(subtree.root, "#text:x")
         ops.append(Insert(pattern, subtree))
     return ops
+
+
+def _branching_read_case(seed: int):
+    """A branching read of 3–4 nodes against a random update.
+
+    Reads over ``a``, ``b`` and ``*`` with both axes, their output at the
+    root, an inner node or a leaf; the update is a linear or branching
+    delete or insert, half each.
+    """
+    rng = _case_rng(30_000, seed)
+    output = rng.choice(("root", "any", "leaf"))
+    while True:
+        pattern = random_branching_pattern(
+            rng.randint(3, 4), ALPHABET, p_wildcard=0.25, seed=rng,
+            output=output,
+        )
+        if not pattern.is_linear:
+            break
+    linear = rng.random() < 0.5
+    if rng.random() < 0.5:
+        update = random_delete(
+            rng.randint(2, 3), ALPHABET, linear=linear, seed=rng,
+            p_wildcard=0.2,
+        )
+    else:
+        update = random_insert(
+            rng.randint(1, 3),
+            subtree_size=rng.randint(1, 2),
+            alphabet=ALPHABET,
+            linear=linear,
+            seed=rng,
+            p_wildcard=0.2,
+        )
+    return Read(pattern), update
 
 
 def _check_against_oracle(report, read, update, kind, seed):
@@ -255,6 +302,37 @@ class TestUpdateUpdateDifferential:
             assert witness is None, (
                 f"seed {seed}: {op1} x {op2} reported commuting, but brute "
                 f"force found a witness:\n{witness.sketch()}"
+            )
+
+
+class TestBranchingReadChainDifferential:
+    """The chain rule for branching reads vs brute force (node semantics).
+
+    Decided with the search switched off, so every definitive verdict
+    comes from the trunk prefilter or the chain rule.
+    """
+
+    @pytest.mark.parametrize("seed", range(BRANCHING_CASES))
+    def test_chain_rule_vs_bruteforce_oracle(self, seed):
+        read, update = _branching_read_case(seed)
+        report = decide_conflict(
+            read, update, exhaustive_cap=None, use_heuristics=False,
+            compiler=COMPILED,
+        )
+        if report.verdict is Verdict.CONFLICT:
+            assert report.method == "read-chains"
+            assert is_witness(report.witness, read, update), (
+                f"seed {seed}: {read} x {update}: the chain-rule witness "
+                f"fails the Lemma 1 check"
+            )
+        elif report.verdict is Verdict.NO_CONFLICT:
+            assert report.method in ("trunk-prefilter", "read-chains")
+            cap = min(BRANCHING_SEARCH_CAP, witness_size_bound(read, update))
+            witness = find_witness_exhaustive(read, update, max_size=cap)
+            assert witness is None, (
+                f"seed {seed}: {read} x {update}: {report.method} says no "
+                f"conflict, but brute force found a witness:\n"
+                f"{witness.sketch()}"
             )
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.conflicts.general import (
     decide_conflict,
     find_witness_exhaustive,
@@ -169,6 +170,72 @@ class TestDecideConflict:
             Read("a/b[c < 5]"), Delete("a/b[d < 3]/e"), exhaustive_cap=2
         )
         assert report.notes.count(STRIPPED_NOTE) == 2
+
+
+#: catalogue-pool's general-path pairs that the search left ``UNKNOWN``
+#: (seed 1): the chain rule decides each, with no candidate checked.
+POOL_PAIRS = [
+    ("b[p]//n/b/e", Delete("b/b"), Verdict.CONFLICT),
+    ("b[p]//n/b/e", Delete("b/e/e/p"), Verdict.CONFLICT),
+    ("b[p]//n/b/e", Delete("b//j//b/p//p"), Verdict.CONFLICT),
+    ("e[e]//p/p", Insert("e//*/b//*", "<m><m/></m>"), Verdict.NO_CONFLICT),
+    ("e[e]//p/p", Insert("e/n", "<e/>"), Verdict.NO_CONFLICT),
+    ("n[n]//m/m/p", Insert("n/e/e/m", "<n/>"), Verdict.NO_CONFLICT),
+    ("n[n]//m/m/p", Insert("n//*/p", "<p><b/></p>"), Verdict.NO_CONFLICT),
+    ("n[n]//m/m/p", Insert("n/b", "<j><e/></j>"), Verdict.NO_CONFLICT),
+]
+
+
+class TestChainRule:
+    """Branching reads decided by their root-to-leaf chains (node semantics)."""
+
+    @pytest.mark.parametrize("cap", [1, 5])
+    @pytest.mark.parametrize("xpath,update,verdict", POOL_PAIRS)
+    def test_catalogue_pool_pairs(self, xpath, update, verdict, cap):
+        read = Read(xpath)
+        report = decide_conflict(read, update, exhaustive_cap=cap)
+        assert report.verdict is verdict
+        assert report.method == "read-chains"
+        assert report.stats["candidates_checked"] == 0
+        assert report.stats["heuristic_candidates"] == 0
+        if verdict is Verdict.CONFLICT:
+            assert is_witness(report.witness, read, update)
+
+    def test_runs_with_the_search_switched_off(self):
+        report = decide_conflict(
+            Read("b[p]//n/b/e"), Delete("b/b"),
+            exhaustive_cap=None, use_heuristics=False,
+        )
+        assert report.verdict is Verdict.CONFLICT
+        assert report.method == "read-chains"
+
+    def test_side_branch_conflict_is_left_to_the_search(self):
+        # Only the chain a/b conflicts: the output chain a/c does not, so
+        # the rule can neither certify nor refute the pair.
+        read, insert = Read("a[b]/c"), Insert("a", "<b/>")
+        assert decide_conflict(read, insert, exhaustive_cap=1).verdict is (
+            Verdict.UNKNOWN
+        )
+        report = decide_conflict(read, insert, exhaustive_cap=2)
+        assert report.verdict is Verdict.CONFLICT
+        assert report.method == "exhaustive"
+
+    def test_node_semantics_only(self):
+        report = decide_conflict(
+            Read("e[e]//p/p"), Insert("e/n", "<e/>"),
+            kind=ConflictKind.TREE, exhaustive_cap=1,
+        )
+        assert report.method != "read-chains"
+
+    def test_span_and_counter(self):
+        key = "general.chains_decided{verdict=no-conflict}"
+        before = obs.global_metrics().snapshot()["counters"].get(key, 0)
+        with obs.tracing() as ring:
+            decide_conflict(Read("e[e]//p/p"), Insert("e/n", "<e/>"))
+        (chains,) = [r for r in ring.spans() if r["name"] == "general.chains"]
+        assert chains["attrs"]["decided"] is True
+        after = obs.global_metrics().snapshot()["counters"].get(key, 0)
+        assert after == before + 1
 
 
 class TestAgainstLinearOnLinearInstances:

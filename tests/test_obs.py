@@ -303,9 +303,9 @@ class TestDetectorInstrumentation:
         # embedding.evaluations is a gated per-inner-call instrument.
         with obs.tracing():
             detector = ConflictDetector(use_heuristics=False, exhaustive_cap=3)
-            # Overlapping pair: the trunk prefilter cannot discharge it,
+            # Neither the trunk prefilter nor the chain rule decides it,
             # so the exhaustive search (and its counters) actually run.
-            detector.read_insert(Read("a[b]/c"), Insert("a/c", "<e/>"))
+            detector.read_insert(Read("a[b]/c"), Insert("a", "<b/>"))
         counters = obs.global_metrics().snapshot()["counters"]
         assert counters.get("search.candidates_checked", 0) > 0
         assert counters.get("embedding.evaluations", 0) > 0
@@ -313,7 +313,7 @@ class TestDetectorInstrumentation:
     def test_search_counters_always_on(self):
         assert not obs.enabled()
         detector = ConflictDetector(use_heuristics=False, exhaustive_cap=3)
-        detector.read_insert(Read("a[b]/c"), Insert("a/c", "<e/>"))
+        detector.read_insert(Read("a[b]/c"), Insert("a", "<b/>"))
         counters = obs.global_metrics().snapshot()["counters"]
         assert counters.get("search.candidates_checked", 0) > 0
 
@@ -357,15 +357,16 @@ class TestStatsBackwardCompat:
         assert self.GENERAL_KEYS <= set(report.stats)
 
     def test_general_unknown_report_keys(self):
-        # Overlapping pair with no witness at cap 2: survives the trunk
-        # prefilter, heuristics find nothing, and the truncated cap yields
-        # UNKNOWN with the full stats payload.
+        # Overlapping pair with no witness at cap 1: survives the trunk
+        # prefilter and the chain rule, heuristics find nothing, and the
+        # truncated cap yields UNKNOWN with the full stats payload.
         report = decide_conflict(
-            Read("a[b]//c"), Insert("a/b", "<x/>"), exhaustive_cap=2
+            Read("a[b]/c"), Insert("a", "<b/>"), exhaustive_cap=1
         )
+        assert report.verdict is Verdict.UNKNOWN
         assert self.GENERAL_KEYS <= set(report.stats)
-        assert report.stats["cap_used"] == 2
-        assert report.stats["bound"] > 2
+        assert report.stats["cap_used"] == 1
+        assert report.stats["bound"] > 1
 
     def test_heuristics_disabled_report_keys(self):
         report = decide_conflict(
@@ -422,8 +423,7 @@ class TestCliObservability:
 
     def test_check_stats_general_path(self, capsys):
         code = main(
-            ["check", "--read", "a[b]//c", "--insert", "a/c", "--xml", "<c/>",
-             "--stats"]
+            ["check", "--read", "a[b]/c", "--delete", "a/b", "--stats"]
         )
         assert code == 1  # conflict
         out = capsys.readouterr().out

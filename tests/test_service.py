@@ -41,6 +41,7 @@ from repro.service.protocol import (
     op_from_spec,
     op_to_spec,
 )
+from repro.service.state import ServiceState
 
 CATALOGUE = {
     "titles": {"op": "read", "xpath": "bib/book/title"},
@@ -115,6 +116,33 @@ class TestProtocol:
             detector_config_from({"budget": True}, **kwargs)
         with pytest.raises(ServiceProtocolError, match="unknown kind"):
             detector_config_from({"kind": "nope"}, **kwargs)
+
+
+class TestNullKnobs:
+    """A present knob must hold a value of its type: ``null`` is a 400 on
+    every route that reads the knob, and only an absent knob means the
+    default."""
+
+    BODIES = {
+        "check": {"first": CATALOGUE["titles"], "second": CATALOGUE["restock"]},
+        "matrix": {"ops": CATALOGUE},
+    }
+
+    @pytest.mark.parametrize(
+        "route,knob",
+        [
+            (route, knob)
+            for route in ("check", "matrix")
+            for knob in ("kind", "budget", "deadline_ms", "max_steps")
+        ]
+        + [("matrix", "index")],
+    )
+    def test_null_knob_is_400(self, route, knob):
+        state = ServiceState(ServiceConfig(port=0))
+        body = {**self.BODIES[route], knob: None}
+        with pytest.raises(ServiceProtocolError, match=f"'{knob}'"):
+            getattr(state, route)(body)
+        assert getattr(state, route)(self.BODIES[route])["command"] == route
 
 
 class TestConfigValidation:

@@ -20,7 +20,10 @@ import pytest
 from repro.conflicts.detector import ConflictDetector
 from repro.conflicts.semantics import ConflictKind, Verdict, is_witness
 from repro.operations.ops import Delete, Insert, Read
+from repro.patterns.embedding import evaluate, evaluate_sets
 from repro.patterns.pattern import Axis, TreePattern, ValueTest
+from repro.patterns.xpath import parse_xpath
+from repro.xml.parser import parse
 
 
 def _read_with_test(op: str, value: float) -> Read:
@@ -233,3 +236,34 @@ class TestBranchingReadsStayConservative:
         report = ConflictDetector().read_insert(read, insert)
         assert report.verdict is Verdict.NO_CONFLICT
         assert not report.notes
+
+
+class TestWildcardSkipsText:
+    """``*`` matches elements only, so no update can delete the text a
+    value test reads (both pairs once answered ``NO_CONFLICT`` although
+    the tree below passed Lemma 1)."""
+
+    def test_wildcard_selects_no_text_in_either_evaluator(self):
+        tree = parse("<a>7<b/></a>")
+        (b,) = tree.children(tree.root)[1:]
+        for xpath in ("a/*", "a//*"):
+            pattern = parse_xpath(xpath)
+            assert evaluate(pattern, tree) == {b}
+            assert evaluate_sets(pattern, tree) == {b}
+
+    def test_branching_read_with_test_vs_wildcard_delete(self):
+        read, delete = Read("a[b > 5]/c"), Delete("a/b/*")
+        report = ConflictDetector().read_delete(read, delete)
+        assert report.verdict is Verdict.NO_CONFLICT
+        assert not is_witness(parse("<a><b>7</b><c/></a>"), read, delete)
+
+    def test_linear_read_with_test_vs_wildcard_delete(self):
+        pattern = TreePattern("a")
+        b = pattern.add_child(pattern.root, "b", Axis.CHILD)
+        pattern.set_value_test(b, ValueTest(">", 5))
+        pattern.set_output(b)
+        read, delete = Read(pattern), Delete("a/b/*")
+        report = ConflictDetector().read_delete(read, delete)
+        assert report.verdict is Verdict.NO_CONFLICT
+        assert report.method == "linear-ptime"
+        assert not is_witness(parse("<a><b>7</b></a>"), read, delete)
